@@ -92,6 +92,27 @@ void BM_RecordPageDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordPageDecode);
 
+void BM_RecordPageFind(benchmark::State& state) {
+  // The index-cache miss path's probe: one lookup on the encoded page
+  // BM_RecordPageDecode rebuilds in full.
+  index::RhikConfig cfg;
+  index::RecordPageCodec codec(cfg, 32 * 1024);
+  hash::HopscotchTable table = codec.make_table();
+  Rng rng(3);
+  std::vector<std::uint64_t> sigs;
+  while (table.occupancy() < 0.8) {
+    const std::uint64_t sig = rng.next();
+    if (ok(table.insert(sig, 1))) sigs.push_back(sig);
+  }
+  Bytes page(32 * 1024);
+  codec.encode(table, page);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec.find(page, sigs[i++ % sigs.size()]));
+  }
+}
+BENCHMARK(BM_RecordPageFind);
+
 void BM_RhikCachedGet(benchmark::State& state) {
   SimClock clock;
   flash::NandDevice nand(flash::Geometry::with_capacity(256ull << 20),
@@ -112,6 +133,44 @@ void BM_RhikCachedGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RhikCachedGet);
+
+void BM_RhikColdGet(benchmark::State& state) {
+  // Miss path: 100 k keys over ~128 record pages behind a 2-page cache,
+  // so nearly every get reads its record page and probes it. Preloaded
+  // through a roomy cache, then reopened from the flushed directory.
+  SimClock clock;
+  flash::NandDevice nand(flash::Geometry::with_capacity(256ull << 20),
+                         flash::NandLatency::kvemu_defaults(), &clock);
+  ftl::PageAllocator alloc(&nand, 4);
+  index::RhikConfig cfg;
+  cfg.anticipated_keys = 100'000;
+  std::vector<std::uint64_t> sigs;
+  Bytes image;
+  {
+    index::RhikIndex loader(&nand, &alloc, cfg, 64ull << 20);
+    Rng rng(4);
+    for (int i = 0; i < 100'000; ++i) {
+      const std::uint64_t sig = rng.next();
+      if (ok(loader.put(sig, i))) sigs.push_back(sig);
+    }
+    if (!ok(loader.flush())) {
+      state.SkipWithError("preload flush failed");
+      return;
+    }
+    image = loader.serialize_directory();
+  }
+  index::RhikIndex index(&nand, &alloc, cfg, 2ull * nand.geometry().page_size);
+  if (!ok(index.load_directory(image))) {
+    state.SkipWithError("directory reload failed");
+    return;
+  }
+  Rng pick(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.get(sigs[pick.next_below(sigs.size())]));
+  }
+  state.counters["miss_ratio"] = index.cache_stats().miss_ratio();
+}
+BENCHMARK(BM_RhikColdGet);
 
 void BM_DevicePutSmall(benchmark::State& state) {
   kvssd::DeviceConfig cfg;

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "hash/murmur.hpp"
-
 #if defined(RHIK_SIMD_AVX2)
 #include <immintrin.h>
 #elif defined(RHIK_SIMD_SSE2)
@@ -105,16 +103,6 @@ HopscotchTable::HopscotchTable(std::uint32_t capacity, std::uint32_t hop_range)
   assert(capacity > 0);
   assert(hop_range >= 1 && hop_range <= 32);
   assert(hop_range <= capacity);
-}
-
-std::uint32_t HopscotchTable::home_bucket(std::uint64_t sig) const noexcept {
-  // The directory layer consumes the low D bits of the signature, so the
-  // intra-table hash must draw on independent bits: remix, then map onto
-  // [0, capacity) with a multiply-shift (Lemire fastrange) — same
-  // distribution as `% capacity_` but two multiplies instead of a
-  // 64-bit divide, and it runs once per find/insert/decoded record.
-  return static_cast<std::uint32_t>(
-      (static_cast<unsigned __int128>(mix64(sig)) * capacity_) >> 64);
 }
 
 std::uint32_t HopscotchTable::probe_scalar(std::uint64_t sig, std::uint32_t home,

@@ -24,8 +24,22 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "hash/murmur.hpp"
 
 namespace rhik::hash {
+
+/// Home bucket of `sig` in a table of `capacity` buckets (fixed
+/// intra-table hash, §IV-A). The directory layer consumes the low D bits
+/// of the signature, so this draws on independent bits: remix, then map
+/// onto [0, capacity) with a multiply-shift (Lemire fastrange) — the
+/// distribution of `% capacity` for two multiplies instead of a 64-bit
+/// divide. Shared by HopscotchTable and the record-page codec, which
+/// probes encoded pages without building a table.
+[[nodiscard]] inline std::uint32_t home_bucket(std::uint64_t sig,
+                                               std::uint32_t capacity) noexcept {
+  return static_cast<std::uint32_t>(
+      (static_cast<unsigned __int128>(mix64(sig)) * capacity) >> 64);
+}
 
 /// One record: 64-bit key signature + physical page address.
 /// On flash this occupies kh (8 B) + ppa (5 B) per Eq. 1; in DRAM the
@@ -126,9 +140,10 @@ class HopscotchTable {
     return hopinfo_;
   }
 
-  /// Home bucket for a signature (fixed intra-table hash, §IV-A:
-  /// independent of the directory bits which consume the low bits).
-  [[nodiscard]] std::uint32_t home_bucket(std::uint64_t sig) const noexcept;
+  /// Home bucket for a signature in this table (hash::home_bucket).
+  [[nodiscard]] std::uint32_t home_bucket(std::uint64_t sig) const noexcept {
+    return hash::home_bucket(sig, capacity_);
+  }
 
   /// Validates hopinfo/slot consistency; used by property tests.
   [[nodiscard]] bool check_invariants() const;

@@ -147,10 +147,7 @@ Status RecordPageCodec::decode(ByteSpan page, hash::HopscotchTable* out) const {
 
   if (reuse) out->clear();
   for (std::uint32_t bucket = 0; bucket < r_; ++bucket) {
-    std::uint32_t info = 0;
-    for (std::uint32_t b = 0; b < hb; ++b) {
-      info |= std::uint32_t{page[hop_off(bucket) + b]} << (8 * b);
-    }
+    std::uint32_t info = hopinfo_at(page, bucket);
     while (info != 0) {
       const auto bit = static_cast<std::uint32_t>(__builtin_ctz(info));
       info &= info - 1;
@@ -166,6 +163,29 @@ Status RecordPageCodec::decode(ByteSpan page, hash::HopscotchTable* out) const {
     }
   }
   return Status::kOk;
+}
+
+Result<std::optional<std::uint64_t>> RecordPageCodec::find(ByteSpan page,
+                                                          std::uint64_t sig) const {
+  if (page.size() < page_size_) return Status::kInvalidArgument;
+  // Same neighbourhood order as HopscotchTable::find, so both return the
+  // same slot; each visited slot passes decode's per-slot checks first.
+  const std::uint32_t home = hash::home_bucket(sig, r_);
+  std::uint32_t info = hopinfo_at(page, home);
+  while (info != 0) {
+    const auto bit = static_cast<std::uint32_t>(__builtin_ctz(info));
+    info &= info - 1;
+    if (bit >= cfg_.hop_range) return Status::kCorruption;
+    std::uint32_t idx = home + bit;
+    if (idx >= r_) idx -= r_;
+    const std::uint64_t stored = get_u64(page, slot_off(idx));
+    if (hash::home_bucket(stored, r_) != home) return Status::kCorruption;
+    if (stored == sig) {
+      return std::optional<std::uint64_t>(
+          get_u40(page, slot_off(idx) + cfg_.sig_bytes));
+    }
+  }
+  return std::optional<std::uint64_t>();
 }
 
 }  // namespace rhik::index

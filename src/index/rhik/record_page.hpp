@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <optional>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
@@ -51,6 +53,14 @@ class RecordPageCodec {
   /// structurally invalid hopinfo.
   Status decode(ByteSpan page, hash::HopscotchTable* out) const;
 
+  /// Looks `sig` up on the page image itself, without building a table:
+  /// probes its home neighbourhood and applies decode's checks to every
+  /// slot it visits (hopinfo bit below H, stored signature homed to the
+  /// probed bucket), returning kCorruption where decode would. Only a
+  /// full decode proves no slot is claimed by two buckets, so callers
+  /// probe images that one decode has already validated.
+  Result<std::optional<std::uint64_t>> find(ByteSpan page, std::uint64_t sig) const;
+
   /// Fresh empty table with this codec's geometry.
   [[nodiscard]] hash::HopscotchTable make_table() const {
     return hash::HopscotchTable(r_, cfg_.hop_range);
@@ -63,6 +73,12 @@ class RecordPageCodec {
   [[nodiscard]] std::size_t hop_off(std::uint32_t i) const noexcept {
     return std::size_t{r_} * (cfg_.sig_bytes + cfg_.ppa_bytes) +
            std::size_t{i} * cfg_.hopinfo_bytes();
+  }
+  /// Bucket `i`'s hopinfo bitmap, stored little-endian in hopinfo_bytes().
+  [[nodiscard]] std::uint32_t hopinfo_at(ByteSpan page, std::uint32_t i) const noexcept {
+    std::uint32_t info = 0;
+    std::memcpy(&info, page.data() + hop_off(i), cfg_.hopinfo_bytes());
+    return info;
   }
 
   RhikConfig cfg_;

@@ -21,9 +21,11 @@ RhikIndex::RhikIndex(flash::NandDevice* nand, ftl::PageAllocator* alloc,
   dir_.assign(dir_size(), kInvalidPpa);
   ov_dir_.assign(dir_size(), kInvalidPpa);
   cache_.set_writeback([this](const std::uint64_t& key, CachedTable& v) {
-    // Write-back of an evicted dirty table. Failure means the device is
-    // wedged full (GC not keeping up); surfaced via stats since the
-    // eviction path cannot propagate a status.
+    // Write-back of an evicted dirty table (dirty entries are decoded:
+    // only load_table hands out a mutable table). Failure means the
+    // device is wedged full (GC not keeping up); surfaced via stats since
+    // the eviction path cannot propagate a status.
+    assert(v.page.empty());
     const Status s = write_table(key_gen(key), key_bucket(key), v.table,
                                  /*for_gc=*/false);
     if (!ok(s)) stats_.writeback_failures++;
@@ -45,11 +47,11 @@ bool RhikIndex::has_overflow(std::uint32_t gen, std::uint64_t bucket) {
          cache_.contains(make_key(gen, keyed));
 }
 
-Result<hash::HopscotchTable*> RhikIndex::load_table(std::uint32_t gen,
-                                                    std::uint64_t bucket,
-                                                    std::uint64_t* reads) {
+Result<RhikIndex::CachedTable*> RhikIndex::load_entry(std::uint32_t gen,
+                                                      std::uint64_t bucket,
+                                                      std::uint64_t* reads) {
   const std::uint64_t key = make_key(gen, bucket);
-  if (CachedTable* hit = cache_.get(key)) return &hit->table;
+  if (CachedTable* hit = cache_.get(key)) return hit;
 
   // Evict up front so the victim's table storage (four ~R-sized arrays)
   // can be recycled by the decode below instead of being freed here and
@@ -60,21 +62,63 @@ Result<hash::HopscotchTable*> RhikIndex::load_table(std::uint32_t gen,
   CachedTable fresh =
       recycled ? std::move(*recycled) : CachedTable{codec_.make_table()};
   const Ppa ppa = dir_slot(gen, bucket);
+  fresh.page = {};
+  fresh.ppa = ppa;
   if (ppa != kInvalidPpa) {
-    // Zero-copy page load: decode straight out of NAND page storage
-    // instead of allocating and filling a 32 KiB scratch buffer per miss.
+    // Zero-copy page load straight out of NAND page storage. A page one
+    // full decode has validated is kept as that view and probed in
+    // place; any other page is decoded (and thereby validated) now.
     ByteSpan page, spare;
     if (Status s = nand_->read_page_view(ppa, &page, &spare); !ok(s)) return s;
     const ftl::SpareTag tag = ftl::SpareTag::decode(spare);
     if (tag.kind != ftl::PageKind::kIndexRecord) return Status::kCorruption;
-    if (Status s = codec_.decode(page, &fresh.table); !ok(s)) return s;
+    const auto owner = page_owner_.find(ppa);
+    if (owner != page_owner_.end() && owner->second.verified) {
+      fresh.page = page;
+    } else {
+      if (Status s = codec_.decode(page, &fresh.table); !ok(s)) return s;
+      mark_verified(ppa);
+    }
     stats_.flash_reads++;
     if (reads) (*reads)++;
   } else if (recycled) {
     fresh.table.clear();
   }
-  CachedTable* ins = cache_.insert(key, std::move(fresh), /*dirty=*/false);
-  return &ins->table;
+  return cache_.insert(key, std::move(fresh), /*dirty=*/false);
+}
+
+Result<hash::HopscotchTable*> RhikIndex::load_table(std::uint32_t gen,
+                                                    std::uint64_t bucket,
+                                                    std::uint64_t* reads) {
+  auto entry = load_entry(gen, bucket, reads);
+  if (!entry) return entry.status();
+  if (Status s = decode_in_place(**entry, gen, bucket); !ok(s)) return s;
+  return &(*entry)->table;
+}
+
+Status RhikIndex::decode_in_place(CachedTable& entry,
+                                  [[maybe_unused]] std::uint32_t gen,
+                                  [[maybe_unused]] std::uint64_t bucket) {
+  if (entry.page.empty()) return Status::kOk;
+  assert(dir_slot(gen, bucket) == entry.ppa);
+  if (Status s = codec_.decode(entry.page, &entry.table); !ok(s)) return s;
+  entry.page = {};
+  return Status::kOk;
+}
+
+Result<std::optional<Ppa>> RhikIndex::find_in(const CachedTable& entry,
+                                              [[maybe_unused]] std::uint32_t gen,
+                                              [[maybe_unused]] std::uint64_t bucket,
+                                              std::uint64_t sig) {
+  if (entry.page.empty()) return entry.table.find(sig);
+  assert(dir_slot(gen, bucket) == entry.ppa);
+  return codec_.find(entry.page, sig);
+}
+
+void RhikIndex::mark_verified(Ppa ppa) {
+  if (const auto it = page_owner_.find(ppa); it != page_owner_.end()) {
+    it->second.verified = true;
+  }
 }
 
 Status RhikIndex::write_table(std::uint32_t gen, std::uint64_t bucket,
@@ -82,6 +126,12 @@ Status RhikIndex::write_table(std::uint32_t gen, std::uint64_t bucket,
   const auto& g = nand_->geometry();
   Ppa& slot = dir_slot(gen, bucket);
   const Ppa old = slot;
+  // Callers write a decoded entry's own table, or a fresh migration
+  // target no entry caches: no undecoded view outlives the repoint.
+  assert([&] {
+    const CachedTable* c = cache_.peek(make_key(gen, bucket));
+    return c == nullptr || c->page.empty();
+  }());
   // Only current-generation overflow slots feed the overflow_pages()
   // counter (old-generation slots live in the migration snapshot).
   const bool count_ov = (bucket & kOvBit) != 0 && gen == gen_;
@@ -124,7 +174,7 @@ Status RhikIndex::write_table(std::uint32_t gen, std::uint64_t bucket,
   retire_old();
   slot = *ppa;
   if (count_ov && old == kInvalidPpa) ov_pages_++;
-  page_owner_[*ppa] = make_key(gen, bucket);
+  page_owner_[*ppa] = PageOwner{make_key(gen, bucket)};
   alloc_->add_live(*ppa, g.page_size);
   if (journal_) journal_->journal_repoint(make_key(gen, bucket), *ppa);
 
@@ -147,15 +197,16 @@ Result<std::optional<Ppa>> RhikIndex::lookup_internal(std::uint64_t sig,
       bucket = ob;
     }
   }
-  auto table = load_table(gen, bucket, reads);
-  if (!table) return table.status();
-  if (auto found = (*table)->find(sig)) return std::optional<Ppa>(found);
+  auto entry = load_entry(gen, bucket, reads);
+  if (!entry) return entry.status();
+  auto found = find_in(**entry, gen, bucket, sig);
+  if (!found || found->has_value()) return found;
   // Hyper-local overflow (§VI): a second, bucket-private table may hold
   // the record — costing this lookup a second flash read.
   if (has_overflow(gen, bucket)) {
-    auto ov = load_table(gen, bucket | kOvBit, reads);
+    auto ov = load_entry(gen, bucket | kOvBit, reads);
     if (!ov) return ov.status();
-    return (*ov)->find(sig);
+    return find_in(**ov, gen, bucket | kOvBit, sig);
   }
   return std::optional<Ppa>(std::nullopt);
 }
@@ -542,8 +593,10 @@ Status RhikIndex::gc_relocate_index_page(Ppa ppa) {
   }
   const auto it = page_owner_.find(ppa);
   if (it == page_owner_.end()) return Status::kOk;  // already stale
-  const std::uint32_t gen = key_gen(it->second);
-  const std::uint64_t bucket = key_bucket(it->second);
+  const std::uint32_t gen = key_gen(it->second.key);
+  const std::uint64_t bucket = key_bucket(it->second.key);
+  // A decoding load: the entry must not keep viewing this page once GC
+  // erases its block.
   auto table = load_table(gen, bucket, nullptr);
   if (!table) return table.status();
   return write_table(gen, bucket, **table, /*for_gc=*/true);
@@ -586,10 +639,10 @@ Status RhikIndex::load_directory(ByteSpan image) {
   ov_pages_ = 0;
   for (std::uint64_t i = 0; i < entries; ++i) {
     dir_[i] = get_u40(image, 20 + i * 5);
-    if (dir_[i] != kInvalidPpa) page_owner_[dir_[i]] = make_key(gen_, i);
+    if (dir_[i] != kInvalidPpa) page_owner_[dir_[i]] = PageOwner{make_key(gen_, i)};
     ov_dir_[i] = get_u40(image, 20 + (entries + i) * 5);
     if (ov_dir_[i] != kInvalidPpa) {
-      page_owner_[ov_dir_[i]] = make_key(gen_, i | kOvBit);
+      page_owner_[ov_dir_[i]] = PageOwner{make_key(gen_, i | kOvBit)};
       ov_pages_++;
     }
   }
@@ -630,7 +683,8 @@ Status RhikIndex::apply_journal_repoint(
     return Status::kCorruption;
   }
 
-  if (data_durable && ppa != kInvalidPpa) {
+  const bool vetted = data_durable && ppa != kInvalidPpa;
+  if (vetted) {
     ByteSpan page, spare;
     if (Status s = nand_->read_page_view(ppa, &page, &spare); !ok(s)) return s;
     if (ftl::SpareTag::decode(spare).kind != ftl::PageKind::kIndexRecord) {
@@ -662,7 +716,11 @@ Status RhikIndex::apply_journal_repoint(
     }
   }
 
-  if (*slot == ppa) return Status::kOk;
+  // The vetting decode above validated the page image in full.
+  if (*slot == ppa) {
+    if (vetted) mark_verified(ppa);
+    return Status::kOk;
+  }
   // Any cached copy predates the repointed page; drop it without
   // write-back so the next load reads the journaled location.
   cache_.erase(make_key(gen, keyed));
@@ -672,7 +730,7 @@ Status RhikIndex::apply_journal_repoint(
     if (*slot == kInvalidPpa && ppa != kInvalidPpa) ov_pages_++;
   }
   *slot = ppa;
-  if (ppa != kInvalidPpa) page_owner_[ppa] = slot_key;
+  if (ppa != kInvalidPpa) page_owner_[ppa] = PageOwner{slot_key, vetted};
   return Status::kOk;
 }
 
@@ -746,12 +804,14 @@ Status RhikIndex::apply_journal_erase(std::uint64_t sig) {
 Status RhikIndex::recount_keys() {
   // Reads pages directly (no load_table) so the pass neither evicts the
   // replay's dirty cache entries nor programs flash; cached copies win
-  // over their flash page — they may carry replay inserts.
+  // over their flash page — they may carry replay inserts. An undecoded
+  // entry's table is recycled storage, so it is decoded before counting.
   std::uint64_t n = 0;
   hash::HopscotchTable scratch = codec_.make_table();
   const auto count_slot = [&](std::uint32_t gen, std::uint64_t keyed,
                               Ppa ppa) -> Status {
-    if (const CachedTable* hit = cache_.get(make_key(gen, keyed))) {
+    if (CachedTable* hit = cache_.get(make_key(gen, keyed))) {
+      if (Status s = decode_in_place(*hit, gen, keyed); !ok(s)) return s;
       n += hit->table.size();
       return Status::kOk;
     }
@@ -762,6 +822,7 @@ Status RhikIndex::recount_keys() {
       return Status::kCorruption;
     }
     if (Status s = codec_.decode(page, &scratch); !ok(s)) return s;
+    mark_verified(ppa);
     n += scratch.size();
     return Status::kOk;
   };

@@ -152,10 +152,23 @@ class RhikIndex final : public IIndex {
   /// True if the bucket has an overflow table (persisted or cached).
   [[nodiscard]] bool has_overflow(std::uint32_t gen, std::uint64_t bucket);
 
-  /// Loads (or materializes empty) the table for a bucket; counts flash
-  /// reads into *reads.
+  struct CachedTable;
+  /// Read path: the cache entry for a bucket, loading it on a miss
+  /// (counting flash reads into *reads). A miss on a verified page caches
+  /// it undecoded; answer lookups on it with find_in().
+  Result<CachedTable*> load_entry(std::uint32_t gen, std::uint64_t bucket,
+                                  std::uint64_t* reads);
+  /// Mutating and walking paths: as load_entry, then decodes the entry
+  /// in place, so the returned table is the bucket's full DRAM table.
   Result<hash::HopscotchTable*> load_table(std::uint32_t gen, std::uint64_t bucket,
                                            std::uint64_t* reads);
+  /// Builds an undecoded entry's table from its page image.
+  Status decode_in_place(CachedTable& entry, std::uint32_t gen,
+                         std::uint64_t bucket);
+  /// Looks sig up in an entry in either state.
+  Result<std::optional<flash::Ppa>> find_in(const CachedTable& entry,
+                                            std::uint32_t gen, std::uint64_t bucket,
+                                            std::uint64_t sig);
 
   /// Programs a table to a fresh index-zone page and repoints the
   /// directory entry; marks the previous page stale.
@@ -220,13 +233,35 @@ class RhikIndex final : public IIndex {
   /// Count of non-invalid ov_dir_ entries (== overflow_pages()).
   std::uint64_t ov_pages_ = 0;
 
+  /// A cached record page, in one of two states. Decoded: `table` is the
+  /// bucket's table and `page` is empty. Undecoded: `page` views the
+  /// bucket's live record page at `ppa` in NAND storage and `table` is
+  /// only recycled storage. Undecoded entries answer lookups through
+  /// RecordPageCodec::find and are decoded in place the first time a
+  /// path mutates or walks them. The view outlives the call that read it
+  /// (DESIGN.md §10): the page stays live while the directory slot points
+  /// at it, and every path that repoints a slot or erases the page's
+  /// block decodes or drops the entry first.
   struct CachedTable {
     hash::HopscotchTable table;
+    ByteSpan page{};
+    flash::Ppa ppa = flash::kInvalidPpa;
   };
   cache::LruCache<std::uint64_t, CachedTable> cache_;
 
-  /// Live index-zone record pages -> owning (gen, bucket) key.
-  std::unordered_map<flash::Ppa, std::uint64_t> page_owner_;
+  /// Owner of a live index-zone record page. `verified` is set once a
+  /// full decode has validated the page image (NAND pages are
+  /// program-once, so it stays valid): only verified pages are cached
+  /// undecoded. Pages from write_table, load_directory and unvetted
+  /// journal repoints start unverified.
+  struct PageOwner {
+    std::uint64_t key = 0;  ///< owning (gen, bucket) key
+    bool verified = false;
+  };
+  /// Live index-zone record pages -> owner.
+  std::unordered_map<flash::Ppa, PageOwner> page_owner_;
+  /// Marks a live page's image as validated by a full decode.
+  void mark_verified(flash::Ppa ppa);
   /// Live directory-checkpoint pages.
   std::vector<flash::Ppa> checkpoint_pages_;
   std::uint32_t checkpoint_id_ = 0;

@@ -161,7 +161,9 @@ TEST_P(HopscotchPropertyTest, AgreesWithReferenceMap) {
     } else {  // erase
       EXPECT_EQ(t.erase(sig), ref.erase(sig) > 0);
     }
-    if (step % 2000 == 0) ASSERT_TRUE(t.check_invariants()) << "step " << step;
+    if (step % 2000 == 0) {
+      ASSERT_TRUE(t.check_invariants()) << "step " << step;
+    }
   }
   EXPECT_EQ(t.size(), ref.size());
   EXPECT_TRUE(t.check_invariants());

@@ -144,6 +144,55 @@ TEST_F(CodecTest, ShortBufferRejected) {
   Bytes page(16);
   hash::HopscotchTable got = codec_.make_table();
   EXPECT_EQ(codec_.decode(page, &got), Status::kInvalidArgument);
+  EXPECT_EQ(codec_.find(page, 42).status(), Status::kInvalidArgument);
+}
+
+/// A signature whose home bucket in an R-slot table is `bucket`.
+std::uint64_t sig_homed_at(std::uint32_t bucket, std::uint32_t r, Rng& rng) {
+  for (;;) {
+    const std::uint64_t sig = rng.next();
+    if (hash::home_bucket(sig, r) == bucket) return sig;
+  }
+}
+
+TEST_F(CodecTest, FindRejectsForeignHomeInProbedBucket) {
+  // Bucket b-1's hopinfo claims the slot that holds a record homed at b:
+  // probing any signature homed at b-1 must report it, as decode does.
+  const std::uint32_t r = codec_.records_per_page();
+  hash::HopscotchTable t = codec_.make_table();
+  Rng rng(29);
+  const std::uint64_t owner = sig_homed_at(100, r, rng);
+  ASSERT_EQ(t.insert(owner, 7), Status::kOk);  // empty table: slot 100
+  Bytes page(kPage);
+  codec_.encode(t, page);
+  const std::size_t hop_region = std::size_t{r} * (cfg_.sig_bytes + cfg_.ppa_bytes);
+  page[hop_region + 4 * 99] |= 0x02;  // bucket 99, distance 1 -> slot 100
+
+  EXPECT_EQ(codec_.find(page, sig_homed_at(99, r, rng)).status(), Status::kCorruption);
+  ASSERT_TRUE(codec_.find(page, owner).has_value());  // bucket 100 is intact
+  EXPECT_EQ(*codec_.find(page, owner), std::optional<std::uint64_t>(7));
+  hash::HopscotchTable got = codec_.make_table();
+  EXPECT_EQ(codec_.decode(page, &got), Status::kCorruption);
+}
+
+TEST(RecordPageFind, RejectsHopinfoBitBeyondNeighbourhood) {
+  // H = 12 stores hopinfo in 2 bytes, so bits 12..15 are representable
+  // but must never be set. The slot bit 12 reaches holds a record homed
+  // at the probed bucket, so only the range check can object.
+  RhikConfig cfg;
+  cfg.hop_range = 12;
+  RecordPageCodec codec(cfg, 4096);
+  const std::uint32_t r = codec.records_per_page();
+  Bytes page(4096);
+  codec.encode(codec.make_table(), page);
+  Rng rng(31);
+  const std::size_t slot_bytes = cfg.sig_bytes + cfg.ppa_bytes;
+  put_u64(page, slot_bytes * 62, sig_homed_at(50, r, rng));
+  page[r * slot_bytes + 2 * 50 + 1] |= 0x10;  // bucket 50, bit 12 -> slot 62
+
+  EXPECT_EQ(codec.find(page, sig_homed_at(50, r, rng)).status(), Status::kCorruption);
+  hash::HopscotchTable got = codec.make_table();
+  EXPECT_EQ(codec.decode(page, &got), Status::kCorruption);
 }
 
 // Round-trips across record geometries (page size x hop range).
@@ -170,6 +219,56 @@ TEST_P(CodecGeometryTest, RoundTrip) {
   ASSERT_EQ(codec.decode(page, &got), Status::kOk);
   EXPECT_EQ(got.size(), n);
   EXPECT_TRUE(got.check_invariants());
+}
+
+TEST_P(CodecGeometryTest, FindMatchesDecode) {
+  // Property: probing the encoded page answers exactly what decode +
+  // HopscotchTable::find answers, for every stored signature and for
+  // absent ones, at 8- and 16-byte signatures.
+  const auto [page_size, hop] = GetParam();
+  for (const std::uint32_t sig_bytes : {8u, 16u}) {
+    SCOPED_TRACE(sig_bytes);
+    RhikConfig cfg;
+    cfg.hop_range = hop;
+    cfg.sig_bytes = sig_bytes;
+    RecordPageCodec codec(cfg, page_size);
+    const std::uint32_t r = codec.records_per_page();
+    hash::HopscotchTable t = codec.make_table();
+    Rng rng(page_size * 31 + hop * 7 + sig_bytes);
+    std::vector<std::uint64_t> stored;
+    // Crowd the last bucket first so its neighbourhood wraps past the
+    // table tail into slots 0 and 1.
+    while (stored.size() < 3) {
+      const std::uint64_t sig = sig_homed_at(r - 1, r, rng);
+      ASSERT_EQ(t.insert(sig, stored.size() + 1), Status::kOk);
+      stored.push_back(sig);
+    }
+    ASSERT_EQ(t.hopinfo(r - 1), 0x7u);
+    // Then fill towards 80%; small neighbourhoods abort some inserts.
+    for (std::uint32_t i = 0; i < r && t.occupancy() < 0.8; ++i) {
+      const std::uint64_t sig = rng.next();
+      if (ok(t.insert(sig, rng.next_below(std::uint64_t{1} << 40)))) {
+        stored.push_back(sig);
+      }
+    }
+    Bytes page(page_size);
+    codec.encode(t, page);
+    hash::HopscotchTable got = codec.make_table();
+    ASSERT_EQ(codec.decode(page, &got), Status::kOk);
+
+    for (const std::uint64_t sig : stored) {
+      const auto probed = codec.find(page, sig);
+      ASSERT_TRUE(probed.has_value()) << sig;
+      ASSERT_TRUE(probed->has_value()) << sig;
+      ASSERT_EQ(*probed, got.find(sig)) << sig;
+    }
+    for (std::uint32_t i = 0; i < 2 * r; ++i) {
+      const std::uint64_t sig = rng.next();
+      const auto probed = codec.find(page, sig);
+      ASSERT_TRUE(probed.has_value()) << sig;
+      ASSERT_EQ(*probed, got.find(sig)) << sig;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, CodecGeometryTest,

@@ -27,7 +27,9 @@ ByteSpan key(const std::string& s) { return as_bytes(s); }
 /// flush) and recovers a fresh one over the same NAND.
 std::unique_ptr<KvssdDevice> power_cycle(std::unique_ptr<KvssdDevice> dev,
                                          bool clean_shutdown) {
-  if (clean_shutdown) EXPECT_EQ(dev->flush(), Status::kOk);
+  if (clean_shutdown) {
+    EXPECT_EQ(dev->flush(), Status::kOk);
+  }
   auto nand = dev->release_nand();
   auto recovered = KvssdDevice::recover(small_config(), std::move(nand));
   EXPECT_TRUE(recovered.has_value());

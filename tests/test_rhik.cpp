@@ -236,6 +236,204 @@ TEST(Rhik, DramBytesTracksDirectory) {
   EXPECT_EQ(rig.index.dram_bytes(), 2u * 16 * cfg.ppa_bytes);
 }
 
+// -- Undecoded cache entries ---------------------------------------------------
+// A read-path miss on a record page that one full decode has validated
+// caches the page view undecoded. These run with a one-page cache over
+// four buckets, so every bucket switch evicts.
+struct UndecodedRig {
+  UndecodedRig() : rig(config(), /*cache_bytes=*/4096) {
+    Rng rng(41);
+    for (int i = 0; i < 400; ++i) {
+      const std::uint64_t sig = rng.next();
+      if (ok(rig.index.put(sig, i + 1))) ref[sig] = i + 1;
+    }
+    EXPECT_EQ(rig.index.flush(), Status::kOk);
+  }
+  static RhikConfig config() {
+    RhikConfig cfg;
+    cfg.anticipated_keys = 240 * 4;  // 4 buckets
+    return cfg;
+  }
+
+  [[nodiscard]] std::uint64_t bucket_of(std::uint64_t sig) const {
+    return rig.index.locality_group(sig);
+  }
+  [[nodiscard]] std::uint64_t keys_in(std::uint64_t bucket) const {
+    std::uint64_t n = 0;
+    for (const auto& entry : ref) n += bucket_of(entry.first) == bucket;
+    return n;
+  }
+  [[nodiscard]] std::uint64_t key_in(std::uint64_t bucket) const {
+    for (const auto& entry : ref) {
+      if (bucket_of(entry.first) == bucket) return entry.first;
+    }
+    ADD_FAILURE() << "no key in bucket " << bucket;
+    return 0;
+  }
+  /// A signature in `bucket` that the index does not hold.
+  std::uint64_t fresh_key_in(std::uint64_t bucket) {
+    for (;;) {
+      const std::uint64_t sig = rng.next();
+      if (bucket_of(sig) == bucket && ref.count(sig) == 0) return sig;
+    }
+  }
+
+  /// Leaves `bucket`'s entry cached undecoded: a get in `other` evicts
+  /// it (writing it back if dirty), the next miss validates its page with
+  /// a full decode, another get in `other` evicts it again, and the
+  /// second miss keeps the page view.
+  void cache_undecoded(std::uint64_t bucket, std::uint64_t other) {
+    for (const std::uint64_t b : {other, bucket, other, bucket}) {
+      ASSERT_EQ(rig.index.get(key_in(b)), std::optional<Ppa>(ref.at(key_in(b))));
+    }
+  }
+
+  /// The live record page of `bucket`, found through the spare areas.
+  [[nodiscard]] Ppa live_page_of(std::uint64_t bucket) {
+    const auto& g = rig.nand.geometry();
+    Bytes spare(g.spare_size());
+    for (Ppa p = 0; p < g.pages_total(); ++p) {
+      if (!rig.nand.is_programmed(p) || !rig.index.gc_is_live_index_page(p)) continue;
+      EXPECT_EQ(rig.nand.read_page(p, {}, spare), Status::kOk);
+      if (ftl::SpareTag::decode(spare).kind == ftl::PageKind::kIndexRecord &&
+          IndexPageSpare::decode(spare).bucket == bucket) {
+        return p;
+      }
+    }
+    ADD_FAILURE() << "no live page for bucket " << bucket;
+    return flash::kInvalidPpa;
+  }
+
+  void expect_agrees_with_reference() {
+    for (const auto& [sig, ppa] : ref) {
+      ASSERT_EQ(rig.index.get(sig), std::optional<Ppa>(ppa)) << sig;
+    }
+    EXPECT_EQ(rig.index.size(), ref.size());
+    EXPECT_EQ(rig.index.op_stats().reads_per_lookup.max(), 1u);
+    rig.expect_no_lost_writebacks();
+  }
+
+  Rig rig;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  Rng rng{43};
+};
+
+TEST(Rhik, UndecodedEntryTakesPutAndErase) {
+  UndecodedRig t;
+  const std::uint64_t a = 0, b = 1;
+  const std::uint64_t fresh = t.fresh_key_in(a);
+  t.cache_undecoded(a, b);
+  ASSERT_EQ(t.rig.index.put(fresh, 5000), Status::kOk);  // insert
+  t.ref[fresh] = 5000;
+  EXPECT_EQ(t.rig.index.get(fresh), std::optional<Ppa>(5000));
+
+  const std::uint64_t updated = t.key_in(a);
+  t.cache_undecoded(a, b);
+  ASSERT_EQ(t.rig.index.put(updated, 5001), Status::kOk);  // update
+  t.ref[updated] = 5001;
+
+  std::uint64_t erased = 0;
+  for (const auto& entry : t.ref) {
+    if (t.bucket_of(entry.first) == a && entry.first != updated && entry.first != fresh) {
+      erased = entry.first;
+    }
+  }
+  ASSERT_NE(erased, 0u);
+  t.cache_undecoded(a, b);
+  ASSERT_EQ(t.rig.index.erase(erased), Status::kOk);
+  t.ref.erase(erased);
+  EXPECT_FALSE(t.rig.index.get(erased).has_value());
+  t.expect_agrees_with_reference();
+}
+
+TEST(Rhik, RelocatesPageOfUndecodedEntry) {
+  UndecodedRig t;
+  const std::uint64_t a = 2, b = 3;
+  const auto& g = t.rig.nand.geometry();
+  // Rewrite bucket a's page once per cycle (only a is ever dirty) until
+  // its live page closes a block written entirely by these cycles: that
+  // block then holds no other live page and GC may erase it after one
+  // relocation.
+  Ppa page = flash::kInvalidPpa;
+  for (std::uint32_t cycle = 0; cycle < 2 * g.pages_per_block; ++cycle) {
+    const std::uint64_t sig = t.fresh_key_in(a);
+    ASSERT_EQ(t.rig.index.put(sig, 6000 + cycle), Status::kOk);
+    t.ref[sig] = 6000 + cycle;
+    ASSERT_TRUE(t.rig.index.get(t.key_in(b)).has_value());  // evicts a: write-back
+    page = t.live_page_of(a);
+    if (cycle >= g.pages_per_block && flash::ppa_page(g, page) == g.pages_per_block - 1) {
+      break;
+    }
+  }
+  const std::uint32_t block = flash::ppa_block(g, page);
+  ASSERT_EQ(flash::ppa_page(g, page), g.pages_per_block - 1);
+  ASSERT_TRUE(t.rig.alloc.is_sealed(block));
+
+  t.cache_undecoded(a, b);
+  ASSERT_EQ(t.rig.index.gc_relocate_index_page(page), Status::kOk);
+  EXPECT_FALSE(t.rig.index.gc_is_live_index_page(page));
+  EXPECT_NE(t.live_page_of(a), page);
+  // As GC does next: the block goes, and the cached entry must not read it.
+  ASSERT_EQ(t.rig.alloc.reclaim_block(block), Status::kOk);
+  const auto hits = t.rig.index.cache_stats().hits;
+  EXPECT_EQ(t.rig.index.get(t.key_in(a)), std::optional<Ppa>(t.ref.at(t.key_in(a))));
+  EXPECT_EQ(t.rig.index.cache_stats().hits, hits + 1);
+  t.expect_agrees_with_reference();
+}
+
+TEST(Rhik, RecountKeysCountsUndecodedEntry) {
+  UndecodedRig t;
+  // An undecoded entry's table is recycled storage. Here it holds bucket
+  // c's decoded table, whose size differs from bucket a's: the miss in c
+  // decodes into a's recycled storage (c's page is unverified), and the
+  // second miss in a takes that storage over undecoded.
+  const std::uint64_t a = 0, b = 1;
+  std::uint64_t c = 2;
+  while (t.keys_in(c) == t.keys_in(a)) ++c;
+  ASSERT_LT(c, 4u);
+  for (const std::uint64_t bucket : {b, a, c, a}) {
+    ASSERT_EQ(t.rig.index.get(t.key_in(bucket)),
+              std::optional<Ppa>(t.ref.at(t.key_in(bucket))));
+  }
+  ASSERT_EQ(t.rig.index.recount_keys(), Status::kOk);
+  t.expect_agrees_with_reference();
+}
+
+TEST(Rhik, FirstMissValidatesWholePage) {
+  // A page is probed in place only after one full decode validated it:
+  // damage outside the probed neighbourhood still fails the first get.
+  Rig rig;
+  const std::uint64_t sig = 0xABC;
+  ASSERT_EQ(rig.index.put(sig, 5), Status::kOk);
+  ASSERT_EQ(rig.index.flush(), Status::kOk);
+  Bytes image = rig.index.serialize_directory();
+
+  const auto& g = rig.nand.geometry();
+  const RhikConfig& cfg = rig.index.config();
+  RecordPageCodec codec(cfg, g.page_size);
+  hash::HopscotchTable table = codec.make_table();
+  ASSERT_EQ(table.insert(sig, 5), Status::kOk);
+  Bytes page(g.page_size);
+  codec.encode(table, page);
+  const std::uint32_t r = codec.records_per_page();
+  const std::uint32_t bogus = (table.home_bucket(sig) + r / 2) % r;
+  ASSERT_NE(bogus, 0u);  // its empty slot holds sig 0, homed at bucket 0
+  page[std::size_t{r} * (cfg.sig_bytes + cfg.ppa_bytes) + 4 * bogus] |= 0x01;
+  Bytes spare(g.spare_size(), 0xFF);
+  ftl::SpareTag{ftl::PageKind::kIndexRecord, ftl::Stream::kIndex}.encode(spare);
+  const auto ppa = rig.alloc.allocate(ftl::Stream::kIndex, /*for_gc=*/false);
+  ASSERT_TRUE(ppa.has_value());
+  ASSERT_EQ(rig.nand.program_page(*ppa, page, spare), Status::kOk);
+  ASSERT_EQ(rig.index.dir_bits(), 0u);
+  put_u40(image, 20, *ppa);  // bucket 0's directory entry
+  ASSERT_EQ(rig.index.load_directory(image), Status::kOk);
+
+  EXPECT_EQ(codec.find(page, sig).status(), Status::kOk);  // locally intact
+  EXPECT_EQ(rig.index.lookup(sig).status(), Status::kCorruption);
+  // A failed decode leaves the page unverified: the next miss decodes again.
+  EXPECT_EQ(rig.index.lookup(sig).status(), Status::kCorruption);
+}
+
 TEST(Rhik, RandomOpsAgreeWithReference) {
   RhikConfig cfg;
   Rig rig(cfg, /*cache_bytes=*/8 * 4096);

@@ -239,7 +239,9 @@ TEST(ShardedStress, SnapshotScansUnderChurn) {
   Bytes v;
   for (std::uint64_t id = 0; id < kKeyspace; ++id) {
     const Status s = arr.get(workload::key_for_id(id, 16), &v);
-    if (ok(s)) EXPECT_TRUE(untorn(id, v)) << "key id " << id;
+    if (ok(s)) {
+      EXPECT_TRUE(untorn(id, v)) << "key id " << id;
+    }
   }
   // No leaked pins: scanners released everything they opened.
   EXPECT_EQ(arr.snapshots().registry.open_pins(), 0u);
