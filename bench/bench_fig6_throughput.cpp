@@ -62,7 +62,7 @@ std::pair<double, double> run(bool rhik_index, bool async,
     workload::fill_value(id, value);
     const Bytes key = workload::key_for_id(id, 16);
     if (async) {
-      dev.submit_put(key, value);
+      dev.submit({api::Command::Op::kPut, id, key, value});
       if (id % dev.config().queue_depth == 0) dev.drain();
     } else {
       dev.put(key, value);
@@ -76,7 +76,7 @@ std::pair<double, double> run(bool rhik_index, bool async,
   for (std::uint64_t id = 0; id < n; ++id) {
     const Bytes key = workload::key_for_id(id, 16);
     if (async) {
-      dev.submit_get(key);
+      dev.submit({api::Command::Op::kGet, id, key, {}});
       if (id % dev.config().queue_depth == 0) dev.drain();
     } else {
       dev.get(key, &out);

@@ -300,10 +300,10 @@ void probe_length_report() {
 // -- Async completion-ring path ------------------------------------------------
 // Drives the SNIA-style async verbs end to end: submissions flow through
 // the device queue and completed batches cross into the caller-visible
-// ring, harvested with poll_completions() — one ring pass per batch, no
-// per-op callbacks. The wall-clock ops/s line is the headline figure the
-// ≥2x acceptance guard tracks; the device-clock line must not move when
-// only host-side code changes.
+// ring, harvested with poll_completions() — one ring pass per batch.
+// The wall-clock ops/s line is the headline figure the ≥2x acceptance
+// guard tracks; the device-clock line must not move when only host-side
+// code changes.
 int async_ring_throughput() {
   constexpr std::uint64_t kKeys = 20'000;
   constexpr std::uint64_t kOps = 100'000;

@@ -2,9 +2,8 @@
 //
 // Two sections. The first streams a full-prefix scan through the
 // SNIA-style handle iterator and reports keys/s (sim clock) at several
-// batch sizes — the streaming API's headline number, plus what the
-// snapshot machinery adds over the deprecated collect-all scan. The
-// second measures what a *pinned* scan costs everyone else: the same
+// batch sizes — the streaming API's headline number. The second
+// measures what a *pinned* scan costs everyone else: the same
 // overwrite/get churn runs with no snapshot open (baseline) and then
 // with a scan holding a pin across the whole churn (every overwrite of
 // a scanned-epoch version is deferred to the retainer instead of freed,
@@ -69,7 +68,7 @@ bool load_or_explain(kvssd::KvssdDevice& dev, std::uint64_t n) {
 
 void scan_throughput(std::uint64_t num_keys, bool* all_pass) {
   bench::heading("Full-prefix streaming scan throughput",
-                 "DESIGN.md §13 — handle iterator vs collect-all");
+                 "DESIGN.md §13 — handle iterator");
   bench::note("%llu keys, %uB values, fresh device per row; keys/s is",
               static_cast<unsigned long long>(num_keys), kValueSize);
   bench::note("simulated-device time for the whole drain (open..exhausted)");

@@ -173,7 +173,8 @@ Anchor anchor_run(std::uint64_t ops) {
   Bytes value(kValueSize);
   for (std::uint64_t id = 0; id < kKeySpace; ++id) {
     workload::fill_value(id, value);
-    arr.submit_put_tagged(id, workload::key_for_id(id, kKeyBytes), value);
+    arr.submit({api::Command::Op::kPut, id,
+                workload::key_for_id(id, kKeyBytes), value});
     if (id % kDrainEvery == 0) arr.drain();
   }
   arr.drain();
@@ -184,10 +185,12 @@ Anchor anchor_run(std::uint64_t ops) {
   for (std::uint64_t i = 0; i < ops; ++i) {
     const std::uint64_t id = rng.next_below(kKeySpace);
     if (rng.next_below(100) < kGetPct) {
-      arr.submit_get_tagged(i, workload::key_for_id(id, kKeyBytes));
+      arr.submit({api::Command::Op::kGet, i,
+                  workload::key_for_id(id, kKeyBytes), {}});
     } else {
       workload::fill_value(id, value);
-      arr.submit_put_tagged(i, workload::key_for_id(id, kKeyBytes), value);
+      arr.submit({api::Command::Op::kPut, i,
+                  workload::key_for_id(id, kKeyBytes), value});
     }
     if (i % kDrainEvery == 0) arr.drain();
   }

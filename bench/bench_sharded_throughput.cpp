@@ -53,9 +53,8 @@ Throughput run_mix(std::uint32_t shards, unsigned get_pct,
                    obs::MetricsSnapshot* snap_out = nullptr) {
   shard::ShardedKvssd arr(make_array_config(shards));
 
-  // Completion-ring fast path: ops are tagged, completions cross from
-  // the shard workers in whole drained batches (one sink call per
-  // batch) instead of one callback dispatch per op.
+  // Completions cross from the shard workers in whole drained batches,
+  // one sink call per batch.
   std::atomic<std::uint64_t> completed{0};
   arr.set_completion_sink(
       [&completed](std::vector<api::TaggedCompletion>&& batch) {
@@ -65,7 +64,8 @@ Throughput run_mix(std::uint32_t shards, unsigned get_pct,
   Bytes value(kValueSize);
   for (std::uint64_t id = 0; id < kKeys; ++id) {
     workload::fill_value(id, value);
-    arr.submit_put_tagged(id, workload::key_for_id(id, 16), value);
+    arr.submit(
+        {api::Command::Op::kPut, id, workload::key_for_id(id, 16), value});
     if (id % kDrainEvery == 0) arr.drain();
   }
   arr.drain();
@@ -76,10 +76,11 @@ Throughput run_mix(std::uint32_t shards, unsigned get_pct,
   for (std::uint64_t i = 0; i < kOps; ++i) {
     const std::uint64_t id = rng.next_below(kKeys);
     if (rng.next_below(100) < get_pct) {
-      arr.submit_get_tagged(i, workload::key_for_id(id, 16));
+      arr.submit({api::Command::Op::kGet, i, workload::key_for_id(id, 16), {}});
     } else {
       workload::fill_value(id, value);
-      arr.submit_put_tagged(i, workload::key_for_id(id, 16), value);
+      arr.submit(
+          {api::Command::Op::kPut, i, workload::key_for_id(id, 16), value});
     }
     if (i % kDrainEvery == 0) arr.drain();
   }
@@ -118,7 +119,8 @@ double run_drain(bool grouped) {
                             /*seed=*/7);
   dev.index().reset_op_stats();
   for (std::size_t i = 0; i < kDrainBatch; ++i) {
-    dev.submit_get(workload::key_for_id(ids.next(), 16));
+    dev.submit(
+        {api::Command::Op::kGet, i, workload::key_for_id(ids.next(), 16), {}});
   }
   dev.drain();
   return static_cast<double>(dev.index().op_stats().flash_reads) / kDrainBatch;

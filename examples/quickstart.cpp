@@ -2,8 +2,10 @@
 // five KV verbs, and print the device counters.
 //
 //   $ ./quickstart
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "api/kvs.hpp"
 
@@ -36,11 +38,17 @@ int main() {
   std::printf("exist(user:9999) = %s\n",
               rhik::api::to_string(dev.exist("user:9999")));
 
-  // Prefix iteration (the paper's §VI iterator extension).
-  std::vector<std::string> users;
-  dev.iterate("user", &users);
-  std::printf("iterate(\"user\") found %zu keys:\n", users.size());
-  for (const auto& k : users) std::printf("  %s\n", k.c_str());
+  // Prefix iteration (the paper's §VI iterator extension): open a
+  // handle, stream keys in bounded batches until KEY_NOT_EXIST, close.
+  std::uint64_t iter = 0;
+  if (dev.kvs_open_iterator("user", &iter) == KvsResult::KVS_SUCCESS) {
+    std::printf("keys with prefix \"user\":\n");
+    std::vector<std::string> batch;
+    while (dev.kvs_iterator_next(iter, 64, &batch) == KvsResult::KVS_SUCCESS) {
+      for (const auto& k : batch) std::printf("  %s\n", k.c_str());
+    }
+    dev.kvs_close_iterator(iter);
+  }
 
   dev.remove("post:9");
   std::printf("after remove, retrieve(post:9) = %s\n",

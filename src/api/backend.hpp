@@ -10,6 +10,11 @@
 // exposes. Anything richer (value-carrying iterators, GC internals,
 // per-shard access) stays on the concrete classes.
 //
+// Asynchronous commands have one shape end to end: a `Command` goes in
+// through submit(), and its `TaggedCompletion` comes back through the
+// batch sink, once per drained batch — the emulator's counterpart of the
+// KVSSD's single submission queue and completion path (paper §II-A).
+//
 // Header-only and dependency-light on purpose: the emulated device
 // implements it, so it must not pull API-layer or device-layer headers.
 #pragma once
@@ -28,12 +33,23 @@ struct DeviceStats;
 
 namespace rhik::api {
 
-/// One finished tagged command, delivered batch-wise to the completion
-/// sink. `tag` is whatever the submitter passed — the facade uses its
-/// submission id. The key buffer travels down with the op and comes back
-/// here, so the fast path never re-copies it; `value` is filled for gets.
-struct TaggedCompletion {
+/// One asynchronous KV command: the single submission-queue entry,
+/// from the facade through a shard ring to the device queue. `tag` is
+/// whatever the submitter wants echoed in the completion (the facade
+/// uses its submission id); `value` is the put payload, unused otherwise.
+struct Command {
   enum class Op : std::uint8_t { kPut, kGet, kDel };
+  Op op = Op::kPut;
+  std::uint64_t tag = 0;
+  Bytes key;
+  Bytes value;
+};
+
+/// One finished command, delivered batch-wise to the completion sink.
+/// The key buffer travels down with the command and comes back here, so
+/// the fast path never re-copies it; `value` is filled for gets.
+struct TaggedCompletion {
+  using Op = Command::Op;
   std::uint64_t tag = 0;
   Op op = Op::kPut;
   Status status = Status::kOk;
@@ -54,13 +70,10 @@ struct SnapshotHandle {
 
 class IKvsBackend {
  public:
-  using Callback = std::function<void(Status)>;
-  /// Value-carrying completion for asynchronous gets.
-  using GetCallback = std::function<void(Status, Bytes&&)>;
   /// Batch completion sink: invoked ONCE per drained batch with every
-  /// tagged completion the batch produced, in execution order. Sharded
-  /// backends call it from worker threads (possibly concurrently), so
-  /// sinks must be thread-safe.
+  /// completion the batch produced, in execution order. Sharded backends
+  /// call it from worker threads (possibly concurrently), so sinks must
+  /// be thread-safe.
   using CompletionSink = std::function<void(std::vector<TaggedCompletion>&&)>;
 
   virtual ~IKvsBackend() = default;
@@ -70,10 +83,6 @@ class IKvsBackend {
   virtual Status get(ByteSpan key, Bytes* value_out) = 0;
   virtual Status del(ByteSpan key) = 0;
   virtual Status exist(ByteSpan key) = 0;
-  /// Enumerates stored keys sharing `prefix` (prefix-signature devices
-  /// only; kUnsupported otherwise).
-  virtual Status iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                                std::size_t limit) = 0;
 
   // -- MVCC snapshots (DESIGN.md §13) ----------------------------------------
   /// Pins the current epoch; the snapshot stays readable until released,
@@ -107,22 +116,15 @@ class IKvsBackend {
   virtual Status kvs_close_iterator(std::uint64_t handle) = 0;
 
   // -- Asynchronous submission ----------------------------------------------
-  virtual void submit_put(Bytes key, Bytes value, Callback cb) = 0;
-  virtual void submit_get(Bytes key, GetCallback cb) = 0;
-  virtual void submit_del(Bytes key, Callback cb) = 0;
+  /// Queues one command. It completes through the sink, in the batch the
+  /// drain that executes it produces; with no sink installed the
+  /// completion is dropped (fire-and-forget).
+  virtual void submit(Command&& cmd) = 0;
   /// Executes queued commands; returns how many completed.
   virtual std::size_t drain() = 0;
-
-  // -- Tagged submission (batched completion fast path) -----------------------
-  /// Tagged verbs complete through the completion sink instead of a
-  /// per-op callback: the backend collects every tagged completion a
-  /// drain batch produces and fires the sink once for the whole batch.
-  /// Install the sink before the first tagged submit; with no sink
-  /// installed, tagged completions are dropped.
+  /// Installs (or, with an empty sink, clears) the completion sink.
+  /// Install it before the first submit whose completion matters.
   virtual void set_completion_sink(CompletionSink sink) = 0;
-  virtual void submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) = 0;
-  virtual void submit_get_tagged(std::uint64_t tag, Bytes key) = 0;
-  virtual void submit_del_tagged(std::uint64_t tag, Bytes key) = 0;
 
   /// Runs one bounded quantum of background maintenance (GC relocation,
   /// incremental index migration) if any is pending; returns true when

@@ -159,48 +159,20 @@ KvsResult KvsDevice::kvs_close_iterator(std::uint64_t iter) {
   return from_status(backend_->kvs_close_iterator(iter));
 }
 
-KvsResult KvsDevice::iterate(std::string_view prefix,
-                             std::vector<std::string>* keys_out) {
-  // Deprecated collect-all wrapper: one consistent streamed scan over
-  // the handle API, drained to completion.
-  std::uint64_t handle = 0;
-  const KvsResult opened = kvs_open_iterator(prefix, &handle);
-  if (opened != KvsResult::KVS_SUCCESS) return opened;
-  keys_out->clear();
-  std::vector<std::string> batch;
-  KvsResult r = KvsResult::KVS_SUCCESS;
-  for (;;) {
-    r = kvs_iterator_next(handle, 256, &batch);
-    if (r != KvsResult::KVS_SUCCESS) break;
-    keys_out->insert(keys_out->end(), std::make_move_iterator(batch.begin()),
-                     std::make_move_iterator(batch.end()));
-  }
-  (void)kvs_close_iterator(handle);
-  if (r != KvsResult::KVS_ERR_KEY_NOT_EXIST) return r;
-  // The single device enumerates in index (hash) order and the sharded
-  // backend in shard-major order. Sort here so the facade's order is
-  // deterministic and identical across shard counts — networked ITER
-  // responses must be stable regardless of deployment.
-  std::sort(keys_out->begin(), keys_out->end());
-  return KvsResult::KVS_SUCCESS;
-}
-
 // -- Asynchronous verbs --------------------------------------------------------
 
 void KvsDevice::install_sink() {
   // The backend hands whole drained batches across; convert in place and
-  // land them in the ring under one lock per batch. This is the only
-  // completion path — per-op callback dispatch is gone from the facade.
+  // land them in the ring under one lock per batch.
   backend_->set_completion_sink([this](std::vector<TaggedCompletion>&& batch) {
     std::vector<KvsCompletion> out;
     out.reserve(batch.size());
     for (TaggedCompletion& tc : batch) {
       KvsCompletion c;
       c.id = tc.tag;
-      c.op = tc.op == TaggedCompletion::Op::kPut ? KvsCompletion::Op::kStore
-             : tc.op == TaggedCompletion::Op::kGet
-                 ? KvsCompletion::Op::kRetrieve
-                 : KvsCompletion::Op::kRemove;
+      c.op = tc.op == Command::Op::kPut   ? KvsCompletion::Op::kStore
+             : tc.op == Command::Op::kGet ? KvsCompletion::Op::kRetrieve
+                                          : KvsCompletion::Op::kRemove;
       c.result = from_status(tc.status);
       c.key = std::move(tc.key);
       c.value = std::move(tc.value);
@@ -227,9 +199,7 @@ std::uint64_t KvsDevice::store_async(std::string_view key, Bytes&& value) {
 }
 
 std::uint64_t KvsDevice::store_async(Bytes&& key, Bytes&& value) {
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  backend_->submit_put_tagged(id, std::move(key), std::move(value));
-  return id;
+  return submit({Command::Op::kPut, 0, std::move(key), std::move(value)});
 }
 
 std::uint64_t KvsDevice::retrieve_async(std::string_view key) {
@@ -237,9 +207,7 @@ std::uint64_t KvsDevice::retrieve_async(std::string_view key) {
 }
 
 std::uint64_t KvsDevice::retrieve_async(Bytes&& key) {
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  backend_->submit_get_tagged(id, std::move(key));
-  return id;
+  return submit({Command::Op::kGet, 0, std::move(key), {}});
 }
 
 std::uint64_t KvsDevice::remove_async(std::string_view key) {
@@ -247,8 +215,13 @@ std::uint64_t KvsDevice::remove_async(std::string_view key) {
 }
 
 std::uint64_t KvsDevice::remove_async(Bytes&& key) {
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  backend_->submit_del_tagged(id, std::move(key));
+  return submit({Command::Op::kDel, 0, std::move(key), {}});
+}
+
+std::uint64_t KvsDevice::submit(Command&& cmd) {
+  cmd.tag = next_id_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t id = cmd.tag;
+  backend_->submit(std::move(cmd));
   return id;
 }
 

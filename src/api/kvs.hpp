@@ -165,16 +165,6 @@ class KvsDevice {
   /// (caller-supplied snapshots stay open — the caller releases those).
   KvsResult kvs_close_iterator(std::uint64_t iter);
 
-  /// Deprecated collect-all scan, kept as a thin wrapper over the
-  /// handle API above: opens an iterator, drains it into `keys_out`
-  /// (sorted), closes it. Prefer the handle verbs — they stream in
-  /// bounded batches and can share one snapshot across scans.
-  /// KVS_ERR_OPTION_INVALID when the device was opened without
-  /// enable_iterator (the capability exists but was not requested);
-  /// KVS_ERR_ITERATOR_NOT_SUPPORTED only when the backend genuinely
-  /// cannot iterate.
-  KvsResult iterate(std::string_view prefix, std::vector<std::string>* keys_out);
-
   // -- Asynchronous verbs (SNIA-style submit + poll) --------------------------
   /// Queue a store/retrieve/remove; returns the submission id echoed in
   /// the matching KvsCompletion. Completions surface via
@@ -198,7 +188,7 @@ class KvsDevice {
   /// returns how many were harvested. When nothing has finished yet the
   /// backend's queue is driven first, so a submit → poll loop always
   /// makes progress. Completions cross from the backend in whole drained
-  /// batches (one ring lock per batch), not one callback at a time.
+  /// batches (one ring lock per batch).
   std::size_t poll_completions(std::vector<KvsCompletion>* out,
                                std::size_t max = SIZE_MAX);
   /// Non-blocking poll_completions: harvests whatever the backend has
@@ -244,14 +234,6 @@ class KvsDevice {
   /// verb set without the string-key / KvsResult dressing.
   [[nodiscard]] IKvsBackend& backend() noexcept { return *backend_; }
 
-  /// Access to the underlying emulated device. Only valid for a
-  /// non-sharded device (num_shards == 1).
-  [[deprecated("use backend()/stats_snapshot()/metrics_snapshot()")]]
-  [[nodiscard]] kvssd::KvssdDevice& device() noexcept { return *dev_; }
-  /// Access to the shard array (only valid when sharded()).
-  [[deprecated("use backend()/stats_snapshot()/metrics_snapshot()")]]
-  [[nodiscard]] shard::ShardedKvssd& shard_array() noexcept { return *array_; }
-
  private:
   static ByteSpan key_span(std::string_view key) noexcept {
     return {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()};
@@ -259,6 +241,8 @@ class KvsDevice {
   /// Installs the batched completion sink on backend_ (construction and
   /// after recover() rebuilds the backend).
   void install_sink();
+  /// Stamps `cmd` with a fresh submission id and submits it.
+  std::uint64_t submit(Command&& cmd);
 
   kvssd::DeviceConfig cfg_;      ///< per-device (= per-shard) config
   std::uint32_t num_shards_ = 1;

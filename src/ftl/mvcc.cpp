@@ -4,6 +4,18 @@
 
 namespace rhik::ftl {
 
+namespace {
+
+/// Pin ids come from one process-wide counter, not per registry: a
+/// registry rebuilt by recovery restarts empty, and if it restarted its
+/// ids too, a new pin could repeat a pre-crash handle's (id, epoch)
+/// pair exactly — when nothing was stamped after that pin, the epoch
+/// source also restarts at the same value — and the stale handle would
+/// read through someone else's pin.
+std::atomic<std::uint64_t> g_next_pin_id{1};
+
+}  // namespace
+
 SnapshotRegistry::Pin SnapshotRegistry::open() {
   std::lock_guard lk(mu_);
   // Order matters: the pin count must be visible (seq_cst) before the
@@ -11,7 +23,8 @@ SnapshotRegistry::Pin SnapshotRegistry::open() {
   // stamped at-or-above this pin's epoch. See the header comment.
   pin_count_.fetch_add(1, std::memory_order_seq_cst);
   const std::uint64_t e = epochs_->advance() - 1;  // pre-advance value
-  const std::uint64_t id = next_id_++;
+  const std::uint64_t id =
+      g_next_pin_id.fetch_add(1, std::memory_order_relaxed);
   pins_.emplace(id, Entry{e, false});
   stats_.opened++;
   recompute_floor_locked();

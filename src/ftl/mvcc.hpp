@@ -112,8 +112,9 @@ class SnapshotRegistry {
   Pin open();
   /// kOk when the pin existed (valid or already expired). With `epoch`
   /// nonzero the pin is released only if its pinned epoch matches —
-  /// the stale-handle guard (see read_at): a pre-crash handle whose pin
-  /// id got recycled must not release the NEW owner's pin.
+  /// the stale-handle guard (see read_at). Pin ids are unique within
+  /// the process, across power cycles too, so a pre-crash handle never
+  /// names a pin of a recovered registry.
   Status release(std::uint64_t id, std::uint64_t epoch = 0);
   /// The pinned epoch, or kSnapshotTooOld if the id is unknown (stale
   /// handle / post-crash) or was expired by the retention bound.
@@ -155,7 +156,6 @@ class SnapshotRegistry {
   EpochSource* epochs_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Entry> pins_;
-  std::uint64_t next_id_ = 1;
   /// Cached min valid pinned epoch (kEpochMax when none) so floor() is
   /// one load on the hot reclamation path.
   std::atomic<std::uint64_t> floor_{kEpochMax};

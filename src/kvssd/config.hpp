@@ -99,7 +99,7 @@ struct DeviceConfig {
   /// the index's locality bucket (sig & dir_mask for RHIK) so each
   /// record page is loaded once per group instead of once per op.
   /// Same-signature commands keep their submission order; per-op status,
-  /// callback and latency semantics are unchanged.
+  /// completion and latency semantics are unchanged.
   bool batch_drain_grouping = true;
 
   /// SNIA KV API key length cap.

@@ -819,26 +819,6 @@ Status KvssdDevice::exist(ByteSpan key) {
   return index_->exists(signature(key)) ? Status::kOk : Status::kNotFound;
 }
 
-Status KvssdDevice::iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                                   std::size_t limit) {
-  if (keys_out == nullptr) return Status::kInvalidArgument;
-  auto handle = open_iterator(prefix);
-  if (!handle) return handle.status();
-  keys_out->clear();
-  std::vector<IteratorEntry> batch;
-  while (keys_out->size() < limit) {
-    const std::size_t want = std::min<std::size_t>(limit - keys_out->size(), 64);
-    const Status s = iterator_next(*handle, want, &batch);
-    if (s == Status::kNotFound) break;
-    if (!ok(s)) {
-      close_iterator(*handle);
-      return s;
-    }
-    for (auto& e : batch) keys_out->push_back(std::move(e.key));
-  }
-  return close_iterator(*handle);
-}
-
 Result<std::uint32_t> KvssdDevice::open_iterator(ByteSpan prefix,
                                                  IteratorOptions opts) {
   if (!cfg_.prefix_signatures) return Status::kUnsupported;
@@ -879,10 +859,10 @@ Status KvssdDevice::read_at(const api::SnapshotHandle& snap, ByteSpan key,
   charge_command(/*async=*/false);
   const auto epoch = snaps_->registry.epoch_of(snap.id);
   if (!epoch) return epoch.status();  // expired / unknown pin
-  // A recycled pin id (the registry restarts after a power cycle) can
-  // never share a stale handle's epoch — recovery raises the epoch
-  // source past every durable stamp — so a mismatch identifies a pin
-  // that did not survive. Erroring beats reading at the wrong epoch.
+  // Pin ids are unique across power cycles, so a stale handle's id is
+  // unknown to a recovered registry (kSnapshotTooOld above); the epoch
+  // cross-check also rejects a handle whose epoch was never this pin's.
+  // Erroring beats reading at the wrong epoch.
   if (snap.epoch != 0 && *epoch != snap.epoch) return Status::kSnapshotTooOld;
 
   const std::uint64_t sig = signature(key);
@@ -939,8 +919,7 @@ Result<std::uint64_t> KvssdDevice::kvs_open_iterator(
   charge_command(/*async=*/false);
   stats_.iterates++;
   if (snap != nullptr && snap->epoch != 0) {
-    // Stale-handle guard (see read_at): a pin id recycled across a
-    // power cycle never matches the old handle's epoch.
+    // Stale-handle guard (see read_at).
     const auto epoch = snaps_->registry.epoch_of(snap->id);
     if (!epoch) return epoch.status();
     if (*epoch != snap->epoch) return Status::kSnapshotTooOld;
@@ -979,88 +958,14 @@ Status KvssdDevice::kvs_close_iterator(std::uint64_t handle) {
   return iter_mgr_->close(static_cast<std::uint32_t>(handle));
 }
 
-Status KvssdDevice::execute_batch(std::vector<BatchOp>& ops) {
-  // One NVMe round trip for the whole group (compound command, [8]).
-  charge_command(/*async=*/false);
-  stats_.batches++;
-  // One epoch per compound command: its ops are a single atomic batch to
-  // snapshot readers (a snapshot sees all of it or none of it).
-  begin_mutation_batch();
-  for (BatchOp& op : ops) {
-    const SimTime t0 = clock_.now();
-    obs::OpTrace tr;
-    bool traced = false;
-    switch (op.kind) {
-      case BatchOp::Kind::kPut:
-        traced = obs_begin(tr, obs::OpKind::kPut, t0, /*enqueue_ns=*/t0);
-        op.status = put_locked(op.key, op.value);
-        if (traced) obs_finish(tr, op.status, put_timers_);
-        break;
-      case BatchOp::Kind::kGet:
-        traced = obs_begin(tr, obs::OpKind::kGet, t0, /*enqueue_ns=*/t0);
-        op.status = get_locked(op.key, &op.value);
-        if (traced) obs_finish(tr, op.status, get_timers_);
-        break;
-      case BatchOp::Kind::kDel:
-        traced = obs_begin(tr, obs::OpKind::kDel, t0, /*enqueue_ns=*/t0);
-        op.status = del_locked(op.key);
-        if (traced) obs_finish(tr, op.status, del_timers_);
-        break;
-      case BatchOp::Kind::kExist:
-        stats_.exists++;
-        op.status = index_->exists(signature(op.key)) ? Status::kOk
-                                                      : Status::kNotFound;
-        break;
-    }
-  }
-  if (ckpt_) ckpt_->tick();
-  gc_tick();
-  return Status::kOk;
-}
-
-void KvssdDevice::submit_put(Bytes key, Bytes value, Callback cb) {
-  queue_.push_back({OpType::kPut, std::move(key), std::move(value),
-                    std::move(cb), {}, clock_.now()});
-}
-
-void KvssdDevice::submit_get(Bytes key, Callback cb) {
-  queue_.push_back(
-      {OpType::kGet, std::move(key), {}, std::move(cb), {}, clock_.now()});
-}
-
-void KvssdDevice::submit_get(Bytes key, GetCallback cb) {
-  queue_.push_back(
-      {OpType::kGet, std::move(key), {}, {}, std::move(cb), clock_.now()});
-}
-
-void KvssdDevice::submit_del(Bytes key, Callback cb) {
-  queue_.push_back(
-      {OpType::kDel, std::move(key), {}, std::move(cb), {}, clock_.now()});
-}
-
-void KvssdDevice::submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) {
-  queue_.push_back({OpType::kPut, std::move(key), std::move(value), {}, {},
-                    clock_.now(), tag, /*tagged=*/true});
-}
-
-void KvssdDevice::submit_get_tagged(std::uint64_t tag, Bytes key) {
-  queue_.push_back({OpType::kGet, std::move(key), {}, {}, {}, clock_.now(),
-                    tag, /*tagged=*/true});
-}
-
-void KvssdDevice::submit_del_tagged(std::uint64_t tag, Bytes key) {
-  queue_.push_back({OpType::kDel, std::move(key), {}, {}, {}, clock_.now(),
-                    tag, /*tagged=*/true});
-}
-
 std::size_t KvssdDevice::drain() {
   std::size_t completed = 0;
   std::vector<QueuedOp> ops;
   std::vector<std::uint32_t> order;
   std::vector<api::TaggedCompletion> batch;
   Bytes value;
-  // Outer loop: callbacks may submit follow-up commands; they drain in
-  // the same call, as with the previous strictly-serial implementation.
+  // Outer loop: a sink may submit follow-up commands; they drain in the
+  // same call.
   while (!queue_.empty()) {
     ops.assign(std::make_move_iterator(queue_.begin()),
                std::make_move_iterator(queue_.end()));
@@ -1083,64 +988,53 @@ std::size_t KvssdDevice::drain() {
       // buffer and comparator indirection stable_sort pays per batch.
       std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(ops.size());
       for (std::uint32_t i = 0; i < keyed.size(); ++i) {
-        keyed[i] = {index_->locality_group(signature(ops[i].key)), i};
+        keyed[i] = {index_->locality_group(signature(ops[i].cmd.key)), i};
       }
       std::sort(keyed.begin(), keyed.end());
       for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
     }
 
     for (const std::uint32_t i : order) {
-      QueuedOp& op = ops[i];
+      api::Command& cmd = ops[i].cmd;
       const SimTime t0 = clock_.now();
       charge_command(/*async=*/true);
       obs::OpTrace tr;
       bool traced = false;
       Status s = Status::kOk;
-      switch (op.type) {
-        case OpType::kPut:
-          traced = obs_begin(tr, obs::OpKind::kPut, t0, op.enqueue_ns);
-          s = put_locked(op.key, op.value);
+      switch (cmd.op) {
+        case api::Command::Op::kPut:
+          traced = obs_begin(tr, obs::OpKind::kPut, t0, ops[i].enqueue_ns);
+          s = put_locked(cmd.key, cmd.value);
           stats_.put_latency_ns.record(clock_.now() - t0);
           if (traced) obs_finish(tr, s, put_timers_);
           break;
-        case OpType::kGet:
+        case api::Command::Op::kGet:
           value.clear();
-          traced = obs_begin(tr, obs::OpKind::kGet, t0, op.enqueue_ns);
-          s = get_locked(op.key, &value);
+          traced = obs_begin(tr, obs::OpKind::kGet, t0, ops[i].enqueue_ns);
+          s = get_locked(cmd.key, &value);
           stats_.get_latency_ns.record(clock_.now() - t0);
           if (traced) obs_finish(tr, s, get_timers_);
           break;
-        case OpType::kDel:
-          traced = obs_begin(tr, obs::OpKind::kDel, t0, op.enqueue_ns);
-          s = del_locked(op.key);
+        case api::Command::Op::kDel:
+          traced = obs_begin(tr, obs::OpKind::kDel, t0, ops[i].enqueue_ns);
+          s = del_locked(cmd.key);
           if (traced) obs_finish(tr, s, del_timers_);
           break;
       }
-      if (op.tagged) {
-        // Fast path: no per-op dispatch — the whole batch crosses to the
-        // sink in one call after the snapshot finishes.
-        api::TaggedCompletion tc;
-        tc.tag = op.tag;
-        tc.op = op.type == OpType::kPut   ? api::TaggedCompletion::Op::kPut
-                : op.type == OpType::kGet ? api::TaggedCompletion::Op::kGet
-                                          : api::TaggedCompletion::Op::kDel;
-        tc.status = s;
-        tc.key = std::move(op.key);
-        if (op.type == OpType::kGet) {
-          tc.value = std::move(value);
-          value.clear();
-        }
-        batch.push_back(std::move(tc));
-      } else if (op.get_cb) {
-        op.get_cb(s, std::move(value));
-        value.clear();
-      } else if (op.cb) {
-        op.cb(s);
+      if (sink_) {
+        // No per-op dispatch: the whole batch crosses to the sink in one
+        // call after the snapshot finishes.
+        api::TaggedCompletion& c = batch.emplace_back();
+        c.tag = cmd.tag;
+        c.op = cmd.op;
+        c.status = s;
+        c.key = std::move(cmd.key);
+        if (cmd.op == api::Command::Op::kGet) c.value = std::move(value);
       }
       ++completed;
     }
     if (!batch.empty()) {
-      if (sink_) sink_(std::move(batch));
+      sink_(std::move(batch));
       batch.clear();
     }
     if (ckpt_) ckpt_->tick();

@@ -7,10 +7,10 @@
 //
 // The command set mirrors the five vendor-specific NVMe commands of the
 // Samsung KVSSD: put, get, delete, exist, iterate (§II-A). Commands can
-// be issued synchronously or through an asynchronous submission queue;
-// async submission pipelines the fixed per-command overhead across the
-// queue depth, which is how the emulator reproduces the sync/async
-// throughput gap of Fig. 6.
+// be issued synchronously or through the asynchronous submission queue
+// (submit + drain, completions through the batch sink); async submission
+// pipelines the fixed per-command overhead across the queue depth, which
+// is how the emulator reproduces the sync/async throughput gap of Fig. 6.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,6 @@ struct DeviceStats {
   std::uint64_t bytes_put = 0;
   std::uint64_t bytes_got = 0;
   std::uint64_t not_found = 0;
-  std::uint64_t batches = 0;            ///< compound commands executed
   std::uint64_t collision_rejects = 0;  ///< index collision aborts (§IV-A1)
   std::uint64_t device_full = 0;
   std::uint64_t gc_invocations = 0;
@@ -67,7 +66,6 @@ struct DeviceStats {
     bytes_put += o.bytes_put;
     bytes_got += o.bytes_got;
     not_found += o.not_found;
-    batches += o.batches;
     collision_rejects += o.collision_rejects;
     device_full += o.device_full;
     gc_invocations += o.gc_invocations;
@@ -85,7 +83,6 @@ struct DeviceStats {
     snap.add_counter("device.bytes_put", bytes_put);
     snap.add_counter("device.bytes_got", bytes_got);
     snap.add_counter("device.not_found", not_found);
-    snap.add_counter("device.batches", batches);
     snap.add_counter("device.collision_rejects", collision_rejects);
     snap.add_counter("device.device_full", device_full);
     snap.add_counter("device.gc_invocations", gc_invocations);
@@ -125,12 +122,6 @@ class KvssdDevice : public api::IKvsBackend {
   /// Membership by key signature only — probabilistic (§IV-A3): may
   /// report kOk for an absent key on a signature collision.
   Status exist(ByteSpan key) override;
-  /// §VI extension: enumerate stored keys sharing a prefix (one-shot
-  /// convenience over the iterator commands below). Requires
-  /// DeviceConfig::prefix_signatures. Keys are verified against the
-  /// actual prefix (flash reads), so results are exact.
-  Status iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                        std::size_t limit = SIZE_MAX) override;
 
   // -- MVCC snapshots (DESIGN.md §13) ----------------------------------------
   /// Pins the current epoch. Reads through the handle see exactly the
@@ -161,41 +152,21 @@ class KvssdDevice : public api::IKvsBackend {
                            std::vector<Bytes>* keys_out) override;
   Status kvs_close_iterator(std::uint64_t handle) override;
 
-  /// Compound command (Kim et al., HotStorage'19 [8]): executes a group
-  /// of KV operations under a single NVMe round trip — one fixed command
-  /// overhead for the whole group. Per-op status (and get values) are
-  /// written back into the ops.
-  struct BatchOp {
-    enum class Kind : std::uint8_t { kPut, kGet, kDel, kExist } kind = Kind::kPut;
-    Bytes key;
-    Bytes value;  ///< put input / get output
-    Status status = Status::kOk;
-  };
-  Status execute_batch(std::vector<BatchOp>& ops);
-
   // -- Asynchronous submission --------------------------------------------------
-  using Callback = api::IKvsBackend::Callback;
-  using GetCallback = api::IKvsBackend::GetCallback;
-  void submit_put(Bytes key, Bytes value, Callback cb = {}) override;
-  void submit_get(Bytes key, Callback cb = {});
-  /// Get whose completion receives the value read (empty on non-kOk).
-  void submit_get(Bytes key, GetCallback cb) override;
-  void submit_del(Bytes key, Callback cb = {}) override;
-  /// Executes all queued commands; returns how many completed. When
+  /// Queues a command; it executes at the next drain() and completes
+  /// through the sink (api::IKvsBackend).
+  void submit(api::Command&& cmd) override {
+    queue_.push_back({std::move(cmd), clock_.now()});
+  }
+  /// Executes all queued commands; returns how many completed. Each
+  /// queue snapshot is one batch: one sink call, one mutation epoch. When
   /// DeviceConfig::batch_drain_grouping is set, commands are executed
   /// grouped by the index's locality bucket (stable within a group, so
   /// same-key commands keep submission order).
   std::size_t drain() override;
-
-  // -- Tagged submission (batched completion fast path) ------------------------
-  /// Tagged ops complete through the sink, one call per drained batch,
-  /// instead of one std::function dispatch per op (api::IKvsBackend).
   void set_completion_sink(api::IKvsBackend::CompletionSink sink) override {
     sink_ = std::move(sink);
   }
-  void submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) override;
-  void submit_get_tagged(std::uint64_t tag, Bytes key) override;
-  void submit_del_tagged(std::uint64_t tag, Bytes key) override;
 
   /// Persists buffered data and index state (and, with checkpointing
   /// enabled, the buffered index-delta journal records).
@@ -283,16 +254,9 @@ class KvssdDevice : public api::IKvsBackend {
   /// Shared wiring; `nand` may be an adopted (recovered) array.
   KvssdDevice(DeviceConfig cfg, std::unique_ptr<flash::NandDevice> nand);
 
-  enum class OpType : std::uint8_t { kPut, kGet, kDel };
   struct QueuedOp {
-    OpType type;
-    Bytes key;
-    Bytes value;
-    Callback cb;
-    GetCallback get_cb;
+    api::Command cmd;
     SimTime enqueue_ns = 0;  ///< submission time (trace queue-wait span)
-    std::uint64_t tag = 0;   ///< tagged path: echoed in the completion
-    bool tagged = false;     ///< complete via sink_, not cb/get_cb
   };
 
   Status put_locked(ByteSpan key, ByteSpan value);
@@ -352,11 +316,6 @@ class KvssdDevice : public api::IKvsBackend {
   /// Completes the active trace: records the stage timers, samples the
   /// ring, and fires the periodic dump hook when due.
   void obs_finish(obs::OpTrace& tr, Status s, const StageTimers& timers);
-  const StageTimers& timers_for(OpType t) const noexcept {
-    return t == OpType::kPut ? put_timers_
-           : t == OpType::kGet ? get_timers_
-                               : del_timers_;
-  }
 
   DeviceConfig cfg_;
   SimClock clock_;
@@ -382,7 +341,7 @@ class KvssdDevice : public api::IKvsBackend {
   std::vector<Rejournal> rejournal_;
 
   std::deque<QueuedOp> queue_;
-  api::IKvsBackend::CompletionSink sink_;  ///< tagged-batch completion sink
+  api::IKvsBackend::CompletionSink sink_;  ///< batch completion sink
   std::unique_ptr<IteratorManager> iter_mgr_;
   std::uint64_t live_bytes_ = 0;
   DeviceStats stats_;

@@ -64,10 +64,10 @@ class KvClient {
   api::KvsResult get(std::string_view key, Bytes* value_out);
   api::KvsResult del(std::string_view key);
   /// Prefix scan within this client's tenant namespace; limit 0 = no
-  /// cap. Keys come back sorted (api::KvsDevice::iterate contract).
-  /// Implemented over the cursored verbs below, so the whole scan is one
-  /// consistent snapshot and never silently truncates at the server's
-  /// per-response ceiling (the old one-shot ITER bug).
+  /// cap. Keys come back sorted, so the order does not depend on the
+  /// server's shard count. Implemented over the cursored verbs below, so
+  /// the whole scan is one consistent snapshot and never truncates at
+  /// the server's per-response ceiling.
   api::KvsResult iterate(std::string_view prefix, std::uint32_t limit,
                          std::vector<std::string>* keys_out);
 

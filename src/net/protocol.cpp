@@ -12,7 +12,6 @@ const char* to_string(Opcode op) noexcept {
     case Opcode::kPut: return "PUT";
     case Opcode::kGet: return "GET";
     case Opcode::kDel: return "DEL";
-    case Opcode::kIter: return "ITER";
     case Opcode::kStatus: return "STATUS";
     case Opcode::kIterOpen: return "ITER_OPEN";
     case Opcode::kIterNext: return "ITER_NEXT";
@@ -25,6 +24,13 @@ namespace {
 
 constexpr std::uint8_t kMaxOpcode =
     static_cast<std::uint8_t>(Opcode::kIterClose);
+/// The retired one-shot ITER: a gap inside [1, kMaxOpcode].
+constexpr std::uint8_t kRetiredIter = 4;
+
+constexpr bool known_opcode(std::uint8_t b) noexcept {
+  return b != 0 && b <= kMaxOpcode && b != kRetiredIter;
+}
+
 constexpr std::uint8_t kMaxResult =
     static_cast<std::uint8_t>(api::KvsResult::KVS_ERR_SNAPSHOT_TOO_OLD);
 
@@ -98,7 +104,7 @@ DecodeStatus RequestDecoder::next(RequestFrame* out) {
     err = DecodeStatus::kBadMagic;
   } else if (get_u32(b, 28) != crc32(b.first(28))) {
     err = DecodeStatus::kBadCrc;
-  } else if (b[4] == 0 || b[4] > kMaxOpcode || b[5] != 0) {
+  } else if (!known_opcode(b[4]) || b[5] != 0) {
     err = DecodeStatus::kBadFrame;
   }
   if (err != DecodeStatus::kFrame) {
@@ -136,7 +142,7 @@ DecodeStatus ResponseDecoder::next(ResponseFrame* out) {
     err = DecodeStatus::kBadMagic;
   } else if (get_u32(b, 24) != crc32(b.first(24))) {
     err = DecodeStatus::kBadCrc;
-  } else if (b[4] == 0 || b[4] > kMaxOpcode || b[5] > kMaxResult) {
+  } else if (!known_opcode(b[4]) || b[5] > kMaxResult) {
     err = DecodeStatus::kBadFrame;
   }
   if (err != DecodeStatus::kFrame) {
@@ -144,10 +150,10 @@ DecodeStatus ResponseDecoder::next(ResponseFrame* out) {
     return err;
   }
   const std::size_t value_len = get_u32(b, 16);
-  // Responses carry ITER key lists and STATUS JSON, which legitimately
+  // Responses carry scan key lists and STATUS JSON, which legitimately
   // exceed a request's value ceiling; allow (max_key_len + 2) bytes per
   // key for up to max_iter_keys keys on top — the same limit the server
-  // clamps its ITER responses to, so a valid frame is never rejected.
+  // clamps its kIterNext responses to, so a valid frame is never rejected.
   if (value_len >
       limits_.max_value_len + (limits_.max_key_len + 2) * limits_.max_iter_keys) {
     poisoned_ = true;

@@ -17,7 +17,7 @@
 //   8   4    value_len
 //   12  4    tenant_id    (namespace + quota selector, DESIGN.md §12)
 //   16  8    request_id   (echoed verbatim in the response)
-//   24  4    limit        (kIter: max keys; 0 elsewhere)
+//   24  4    limit        (kIterNext: max keys; 0 elsewhere)
 //   28  4    crc32 over header bytes [0, 28)
 //
 // Response frame (28-byte header + value bytes):
@@ -29,7 +29,7 @@
 //   6   2    reserved (0)
 //   8   8    request_id
 //   16  4    value_len
-//   20  4    extra        (kIter: number of keys in the payload)
+//   20  4    extra        (kIterNext: number of keys in the payload)
 //   24  4    crc32 over header bytes [0, 24)
 //
 // The header CRC makes framing self-validating: a corrupted or
@@ -39,14 +39,14 @@
 // integrity is TCP's job; the CRC protects the *lengths* the decoder is
 // about to trust.
 //
-// kIter / kIterNext response payloads are a key list: `extra` entries
-// of [u16 len][len key bytes], concatenated (encode_key_list /
+// kIterNext response payloads are a key list: `extra` entries of
+// [u16 len][len key bytes], concatenated (encode_key_list /
 // decode_key_list).
 //
-// Cursored scans (kIterOpen / kIterNext / kIterClose) replace the
-// one-shot kIter for anything that must not truncate: kIter silently
-// capped a scan at WireLimits::max_iter_keys, cursored scans stream the
-// whole prefix in bounded batches pinned to ONE snapshot epoch.
+// Prefix scans are cursored (kIterOpen / kIterNext / kIterClose): they
+// stream the whole prefix in bounded batches pinned to ONE snapshot
+// epoch. Opcode 4, the retired one-shot ITER, is rejected by both
+// decoders like any unknown opcode.
 //   kIterOpen:  request key = prefix; response value = 16-byte
 //               continuation token (IterToken: [cursor_id u64][epoch
 //               u64] — the epoch the server pinned for the cursor).
@@ -75,10 +75,7 @@ enum class Opcode : std::uint8_t {
   kPut = 1,
   kGet = 2,
   kDel = 3,
-  /// One-shot prefix scan; key = prefix, limit = max keys. Deprecated:
-  /// results silently truncate at WireLimits::max_iter_keys — use the
-  /// cursored kIterOpen / kIterNext / kIterClose instead.
-  kIter = 4,
+  // 4: retired (one-shot ITER); decoders answer it with kBadFrame.
   kStatus = 5,     ///< server metrics snapshot; response value = JSON
   kIterOpen = 6,   ///< open cursor; key = prefix, response = IterToken
   kIterNext = 7,   ///< value = IterToken, limit = batch; response = keys
@@ -98,10 +95,10 @@ constexpr std::size_t kResponseHeaderSize = 28;
 struct WireLimits {
   std::size_t max_key_len = 1024;
   std::size_t max_value_len = 4u << 20;
-  /// Ceiling on keys in one kIter response payload. The response
+  /// Ceiling on keys in one kIterNext response payload. The response
   /// decoder derives its kTooLarge cap from this, so client and server
   /// must agree on it (the server clamps ServerConfig::max_iter_keys to
-  /// this value when building ITER responses).
+  /// this value when building kIterNext responses).
   std::size_t max_iter_keys = 65536;
 };
 
@@ -109,7 +106,7 @@ struct RequestFrame {
   Opcode opcode = Opcode::kPut;
   std::uint32_t tenant_id = 0;
   std::uint64_t request_id = 0;
-  std::uint32_t limit = 0;  ///< kIter only
+  std::uint32_t limit = 0;  ///< kIterNext only
   Bytes key;
   Bytes value;
 };
@@ -118,7 +115,7 @@ struct ResponseFrame {
   Opcode opcode = Opcode::kPut;
   api::KvsResult status = api::KvsResult::KVS_SUCCESS;
   std::uint64_t request_id = 0;
-  std::uint32_t extra = 0;  ///< kIter: key count in `value`
+  std::uint32_t extra = 0;  ///< kIterNext: key count in `value`
   Bytes value;
 };
 
@@ -189,7 +186,7 @@ class ResponseDecoder {
   bool poisoned_ = false;
 };
 
-/// kIter / kIterNext payload codec: `extra` entries of
+/// kIterNext payload codec: `extra` entries of
 /// [u16 len][key bytes].
 void encode_key_list(const std::vector<std::string>& keys, Bytes* out);
 /// Strict decode: every byte must be consumed and exactly `count`

@@ -532,38 +532,6 @@ void KvServer::handle_request(Worker& w, Conn& c, RequestFrame&& f) {
     return;
   }
 
-  if (f.opcode == Opcode::kIter) {
-    // Clamp to the wire limit too: a response above limits.max_iter_keys
-    // would be rejected as kTooLarge by any same-config client decoder.
-    const std::size_t ceiling =
-        std::min(cfg_.max_iter_keys, cfg_.limits.max_iter_keys);
-    const std::size_t limit =
-        std::min<std::size_t>(f.limit == 0 ? ceiling : f.limit, ceiling);
-    const Bytes prefix = namespaced_key(tenant->id, f.key);
-    std::vector<std::string> keys;
-    api::KvsResult r;
-    if (serialize_backend_) {
-      std::lock_guard lk(backend_mu_);
-      r = dev_.iterate(as_sv(prefix), &keys);
-    } else {
-      r = dev_.iterate(as_sv(prefix), &keys);
-    }
-    Bytes payload;
-    std::uint32_t count = 0;
-    if (r == api::KvsResult::KVS_SUCCESS) {
-      if (keys.size() > limit) keys.resize(limit);
-      for (auto& k : keys) k.erase(0, kTenantPrefixLen);
-      encode_key_list(keys, &payload);
-      count = static_cast<std::uint32_t>(keys.size());
-      std::uint64_t bytes_out = payload.size();
-      tenant->ops->inc();
-      tenant->bytes->inc(f.key.size() + bytes_out);
-      tenant->latency->record(wall_now_ns() - now);
-    }
-    respond_now(w, c, f, r, std::move(payload), count);
-    return;
-  }
-
   // PUT / GET / DEL: the async path.
   if (f.key.empty() ||
       f.key.size() + kTenantPrefixLen > kDeviceMaxKey) {

@@ -69,7 +69,7 @@ struct ServerConfig {
   std::size_t max_global_inflight = 16384;
   /// Per-connection pipeline cap (same retryable rejection).
   std::size_t max_conn_inflight = 4096;
-  /// Ceiling on keys in one kIter (or kIterNext batch) response.
+  /// Ceiling on keys in one kIterNext batch response.
   std::size_t max_iter_keys = 65536;
   /// Open scan cursors per connection (kIterOpen). Each cursor pins a
   /// snapshot epoch on the device, holding superseded versions alive,
@@ -208,7 +208,7 @@ class KvServer {
   /// an abandoned cursor must not pin retention forever.
   void reap_cursors(Conn& c);
   /// Immediate (non-device) answer: throttles, validation errors,
-  /// ITER/STATUS results.
+  /// cursor and STATUS results.
   void respond_now(Worker& w, Conn& c, const RequestFrame& f,
                    api::KvsResult result, Bytes&& value = {},
                    std::uint32_t extra = 0);

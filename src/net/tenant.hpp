@@ -41,7 +41,7 @@ constexpr std::size_t kTenantPrefixLen = 4;
   return k;
 }
 
-/// Strips the tenant prefix off a device key (ITER results).
+/// Strips the tenant prefix off a device key (scan results).
 [[nodiscard]] inline ByteSpan strip_namespace(ByteSpan device_key) noexcept {
   return device_key.size() >= kTenantPrefixLen
              ? device_key.subspan(kTenantPrefixLen)

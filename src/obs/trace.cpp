@@ -11,7 +11,6 @@ const char* to_string(OpKind k) noexcept {
     case OpKind::kGet: return "get";
     case OpKind::kDel: return "del";
     case OpKind::kExist: return "exist";
-    case OpKind::kBatch: return "batch";
   }
   return "?";
 }

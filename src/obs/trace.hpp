@@ -37,7 +37,7 @@ struct ObsConfig {
   SimTime dump_period_ns = 0;
 };
 
-enum class OpKind : std::uint8_t { kPut, kGet, kDel, kExist, kBatch };
+enum class OpKind : std::uint8_t { kPut, kGet, kDel, kExist };
 
 [[nodiscard]] const char* to_string(OpKind k) noexcept;
 

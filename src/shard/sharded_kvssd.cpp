@@ -9,7 +9,7 @@ namespace rhik::shard {
 
 namespace {
 
-/// One-shot completion gate for sync verbs and cross-shard barriers.
+/// One-shot completion gate for call() and call_all().
 class Gate {
  public:
   void open() {
@@ -30,8 +30,6 @@ class Gate {
   std::condition_variable cv_;
   bool open_ = false;
 };
-
-Bytes owned(ByteSpan span) { return Bytes(span.begin(), span.end()); }
 
 std::vector<std::unique_ptr<kvssd::KvssdDevice>> build_devices(
     const ShardedConfig& cfg) {
@@ -76,7 +74,6 @@ ShardedKvssd::ShardedKvssd(
   fe_gets_ = &front_metrics_.counter("frontend.gets");
   fe_dels_ = &front_metrics_.counter("frontend.dels");
   fe_exists_ = &front_metrics_.counter("frontend.exists");
-  fe_batch_ops_ = &front_metrics_.counter("frontend.batch_ops");
   fe_barriers_ = &front_metrics_.counter("frontend.barriers");
   shards_.reserve(devices.size());
   for (auto& dev : devices) {
@@ -165,120 +162,13 @@ void ShardedKvssd::worker_loop(Shard& s) {
       open = s.ring->pop_all(batch);
     }
     for (ShardOp& op : batch) {
-      switch (op.kind) {
-        case ShardOp::Kind::kPut:
-          if (op.tagged) {
-            s.dev->submit_put_tagged(op.tag, std::move(op.key),
-                                     std::move(op.value));
-          } else {
-            s.dev->submit_put(std::move(op.key), std::move(op.value),
-                              std::move(op.cb));
-          }
-          break;
-        case ShardOp::Kind::kGet:
-          if (op.tagged) {
-            s.dev->submit_get_tagged(op.tag, std::move(op.key));
-          } else if (op.get_cb) {
-            s.dev->submit_get(std::move(op.key), std::move(op.get_cb));
-          } else {
-            s.dev->submit_get(std::move(op.key), std::move(op.cb));
-          }
-          break;
-        case ShardOp::Kind::kDel:
-          if (op.tagged) {
-            s.dev->submit_del_tagged(op.tag, std::move(op.key));
-          } else {
-            s.dev->submit_del(std::move(op.key), std::move(op.cb));
-          }
-          break;
-        case ShardOp::Kind::kExist: {
-          // Not queueable on the device; flush queued work first so
-          // command order on this shard is preserved.
-          s.completed += s.dev->drain();
-          const Status st = s.dev->exist(op.key);
-          s.completed += 1;
-          if (op.cb) op.cb(st);
-          break;
-        }
-        case ShardOp::Kind::kIterate: {
-          // Scans the live index, so queued work must land first.
-          s.completed += s.dev->drain();
-          const Status st = s.dev->iterate_prefix(op.key, op.keys, op.limit);
-          s.completed += 1;
-          if (op.cb) op.cb(st);
-          break;
-        }
-        case ShardOp::Kind::kBatch: {
-          s.completed += s.dev->drain();
-          s.dev->execute_batch(*op.batch);
-          s.completed += op.batch->size();
-          if (op.done) op.done();
-          break;
-        }
-        case ShardOp::Kind::kFlush: {
-          s.completed += s.dev->drain();
-          const Status st = s.dev->flush();
-          if (op.cb) op.cb(st);
-          break;
-        }
-        case ShardOp::Kind::kCheckpoint: {
-          s.completed += s.dev->drain();
-          const Status st = s.dev->checkpoint();
-          if (op.cb) op.cb(st);
-          break;
-        }
-        case ShardOp::Kind::kSnapshot: {
-          s.completed += s.dev->drain();
-          op.snap_out->stats = s.dev->stats();
-          op.snap_out->now = s.dev->clock().now();
-          op.snap_out->stall = s.dev->clock().total_stall();
-          op.snap_out->keys = s.dev->key_count();
-          if (op.done) op.done();
-          break;
-        }
-        case ShardOp::Kind::kMetrics: {
-          s.completed += s.dev->drain();
-          op.snap_out->metrics = s.dev->metrics_snapshot();
-          if (op.done) op.done();
-          break;
-        }
-        case ShardOp::Kind::kBarrier:
-          s.completed += s.dev->drain();
-          if (op.done) op.done();
-          break;
-        case ShardOp::Kind::kReadAt: {
-          // Snapshot reads resolve against the live index + retainer;
-          // queued work lands first so "behind queued commands" holds
-          // like the other sync verbs (the pinned epoch, not the drain,
-          // decides visibility).
-          s.completed += s.dev->drain();
-          Bytes value;
-          const Status st = s.dev->read_at(op.snap, op.key, &value);
-          s.completed += 1;
-          if (op.get_cb) op.get_cb(st, std::move(value));
-          break;
-        }
-        case ShardOp::Kind::kIterOpen: {
-          s.completed += s.dev->drain();
-          const auto h = s.dev->kvs_open_iterator(op.key, &op.snap);
-          s.completed += 1;
-          if (h && op.handle_out != nullptr) *op.handle_out = *h;
-          if (op.cb) op.cb(h ? Status::kOk : h.status());
-          break;
-        }
-        case ShardOp::Kind::kIterNext: {
-          s.completed += s.dev->drain();
-          const Status st = s.dev->kvs_iterator_next(op.tag, op.limit, op.keys);
-          s.completed += 1;
-          if (op.cb) op.cb(st);
-          break;
-        }
-        case ShardOp::Kind::kIterClose: {
-          const Status st = s.dev->kvs_close_iterator(op.tag);
-          s.completed += 1;
-          if (op.cb) op.cb(st);
-          break;
-        }
+      if (auto* cmd = std::get_if<api::Command>(&op)) {
+        s.dev->submit(std::move(*cmd));
+      } else {
+        // Control op: queued commands land first, so it observes every
+        // command submitted to this shard before it.
+        s.completed += s.dev->drain();
+        std::get<Control>(op)(*s.dev);
       }
     }
     // One ring batch ingested: drain the device queue. This is the
@@ -315,121 +205,74 @@ kvssd::KvssdDevice& ShardedKvssd::shard_device(std::uint32_t shard) {
   return *shards_[shard]->dev;
 }
 
+void ShardedKvssd::call(std::uint32_t shard, const Control& fn) {
+  Gate gate;
+  submit_to(shard, Control([&](kvssd::KvssdDevice& dev) {
+    fn(dev);
+    gate.open();
+  }));
+  gate.wait();
+}
+
+void ShardedKvssd::call_all(
+    const std::function<void(std::uint32_t, kvssd::KvssdDevice&)>& fn) {
+  fe_barriers_->inc();
+  Gate gate;
+  std::atomic<std::uint32_t> remaining{
+      static_cast<std::uint32_t>(shards_.size())};
+  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
+    submit_to(sh, Control([&, sh](kvssd::KvssdDevice& dev) {
+      fn(sh, dev);
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) gate.open();
+    }));
+  }
+  gate.wait();
+}
+
 // -- Synchronous verbs ---------------------------------------------------------
 
 Status ShardedKvssd::put(ByteSpan key, ByteSpan value) {
   fe_puts_->inc();
-  Gate gate;
   Status st = Status::kIoError;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kPut;
-  op.key = owned(key);
-  op.value = owned(value);
-  op.cb = [&](Status s) {
-    st = s;
-    gate.open();
-  };
-  submit_to(shard_of(key), std::move(op));
-  gate.wait();
+  call(shard_of(key), [&](kvssd::KvssdDevice& d) { st = d.put(key, value); });
   return st;
 }
 
 Status ShardedKvssd::get(ByteSpan key, Bytes* value_out) {
   fe_gets_->inc();
-  Gate gate;
   Status st = Status::kIoError;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kGet;
-  op.key = owned(key);
-  op.get_cb = [&](Status s, Bytes&& v) {
-    st = s;
-    if (value_out) *value_out = std::move(v);
-    gate.open();
-  };
-  submit_to(shard_of(key), std::move(op));
-  gate.wait();
+  call(shard_of(key),
+       [&](kvssd::KvssdDevice& d) { st = d.get(key, value_out); });
   return st;
 }
 
 Status ShardedKvssd::del(ByteSpan key) {
   fe_dels_->inc();
-  Gate gate;
   Status st = Status::kIoError;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kDel;
-  op.key = owned(key);
-  op.cb = [&](Status s) {
-    st = s;
-    gate.open();
-  };
-  submit_to(shard_of(key), std::move(op));
-  gate.wait();
+  call(shard_of(key), [&](kvssd::KvssdDevice& d) { st = d.del(key); });
   return st;
 }
 
 Status ShardedKvssd::exist(ByteSpan key) {
   fe_exists_->inc();
-  Gate gate;
   Status st = Status::kIoError;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kExist;
-  op.key = owned(key);
-  op.cb = [&](Status s) {
-    st = s;
-    gate.open();
-  };
-  submit_to(shard_of(key), std::move(op));
-  gate.wait();
+  call(shard_of(key), [&](kvssd::KvssdDevice& d) { st = d.exist(key); });
   return st;
-}
-
-Status ShardedKvssd::iterate_prefix(ByteSpan prefix,
-                                    std::vector<Bytes>* keys_out,
-                                    std::size_t limit) {
-  // Every shard owns a hash slice of the keyspace, so a prefix scan has
-  // to fan out to all of them. Each shard caps at `limit` (it can never
-  // contribute more than the final result holds); the merged set is
-  // sorted so the caller sees one deterministic order regardless of
-  // shard count or worker timing.
-  Gate gate;
-  std::atomic<std::uint32_t> remaining{
-      static_cast<std::uint32_t>(shards_.size())};
-  std::vector<Status> statuses(shards_.size(), Status::kOk);
-  std::vector<std::vector<Bytes>> parts(shards_.size());
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    ShardOp op;
-    op.kind = ShardOp::Kind::kIterate;
-    op.key = owned(prefix);
-    op.keys = &parts[sh];
-    op.limit = limit;
-    op.cb = [&, sh](Status s) {
-      statuses[sh] = s;
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) gate.open();
-    };
-    submit_to(sh, std::move(op));
-  }
-  gate.wait();
-  for (const Status s : statuses) {
-    if (!ok(s)) return s;
-  }
-
-  std::vector<Bytes> merged;
-  for (auto& p : parts) {
-    merged.insert(merged.end(), std::make_move_iterator(p.begin()),
-                  std::make_move_iterator(p.end()));
-  }
-  std::sort(merged.begin(), merged.end());
-  if (merged.size() > limit) merged.resize(limit);
-  if (keys_out) *keys_out = std::move(merged);
-  return Status::kOk;
 }
 
 // -- MVCC snapshots and array iterators ----------------------------------------
 
 Result<api::SnapshotHandle> ShardedKvssd::open_snapshot() {
-  // The registry is shared and internally synchronized; no worker round
-  // trip. Pinning is linearizable against every shard's stamps through
-  // the shared EpochSource (see ftl/mvcc.hpp's ordering argument).
+  return pin_after_barrier();
+}
+
+api::SnapshotHandle ShardedKvssd::pin_after_barrier() {
+  // The barrier makes the pin cover every command submitted before the
+  // call, as a sync verb would see it. The registry itself is shared and
+  // internally synchronized; pinning is linearizable against every
+  // shard's stamps through the shared EpochSource (see ftl/mvcc.hpp's
+  // ordering argument).
+  call_all([](std::uint32_t, kvssd::KvssdDevice&) {});
   const ftl::SnapshotRegistry::Pin pin = snaps_->registry.open();
   return api::SnapshotHandle{pin.id, pin.epoch};
 }
@@ -441,74 +284,10 @@ Status ShardedKvssd::release_snapshot(const api::SnapshotHandle& snap) {
 Status ShardedKvssd::read_at(const api::SnapshotHandle& snap, ByteSpan key,
                              Bytes* value_out) {
   fe_gets_->inc();
-  Gate gate;
   Status st = Status::kIoError;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kReadAt;
-  op.key = owned(key);
-  op.snap = snap;
-  op.get_cb = [&](Status s, Bytes&& v) {
-    st = s;
-    if (value_out) *value_out = std::move(v);
-    gate.open();
-  };
-  submit_to(shard_of(key), std::move(op));
-  gate.wait();
-  return st;
-}
-
-Result<std::uint64_t> ShardedKvssd::dev_iter_open(
-    std::uint32_t shard, ByteSpan prefix, const api::SnapshotHandle& snap) {
-  Gate gate;
-  Status st = Status::kIoError;
-  std::uint64_t handle = 0;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kIterOpen;
-  op.key = owned(prefix);
-  op.snap = snap;
-  op.handle_out = &handle;
-  op.cb = [&](Status s) {
-    st = s;
-    gate.open();
-  };
-  submit_to(shard, std::move(op));
-  gate.wait();
-  if (!ok(st)) return st;
-  return handle;
-}
-
-Status ShardedKvssd::dev_iter_next(std::uint32_t shard, std::uint64_t handle,
-                                   std::size_t max_keys,
-                                   std::vector<Bytes>* keys_out) {
-  Gate gate;
-  Status st = Status::kIoError;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kIterNext;
-  op.tag = handle;
-  op.limit = max_keys;
-  op.keys = keys_out;
-  op.cb = [&](Status s) {
-    st = s;
-    gate.open();
-  };
-  submit_to(shard, std::move(op));
-  gate.wait();
-  return st;
-}
-
-Status ShardedKvssd::dev_iter_close(std::uint32_t shard,
-                                    std::uint64_t handle) {
-  Gate gate;
-  Status st = Status::kIoError;
-  ShardOp op;
-  op.kind = ShardOp::Kind::kIterClose;
-  op.tag = handle;
-  op.cb = [&](Status s) {
-    st = s;
-    gate.open();
-  };
-  submit_to(shard, std::move(op));
-  gate.wait();
+  call(shard_of(key), [&](kvssd::KvssdDevice& d) {
+    st = d.read_at(snap, key, value_out);
+  });
   return st;
 }
 
@@ -518,12 +297,10 @@ Result<std::uint64_t> ShardedKvssd::kvs_open_iterator(
   if (prefix.empty()) return Status::kInvalidArgument;
 
   ArrayIter it;
-  it.prefix = owned(prefix);
+  it.prefix = Bytes(prefix.begin(), prefix.end());
   if (snap != nullptr) {
     // Caller-owned pin: validate it up front so a dead handle fails at
-    // open, not on the first next(). The epoch cross-check catches a
-    // pin id recycled across a power cycle (recovery raises the epoch
-    // source past every durable stamp, so epochs never collide).
+    // open, not on the first next() (see KvssdDevice::read_at).
     const auto epoch = snaps_->registry.epoch_of(snap->id);
     if (!epoch) return epoch.status();
     if (snap->epoch != 0 && *epoch != snap->epoch) {
@@ -531,8 +308,7 @@ Result<std::uint64_t> ShardedKvssd::kvs_open_iterator(
     }
     it.snap = *snap;
   } else {
-    const ftl::SnapshotRegistry::Pin pin = snaps_->registry.open();
-    it.snap = api::SnapshotHandle{pin.id, pin.epoch};
+    it.snap = pin_after_barrier();
     it.owns_snap = true;
   }
 
@@ -558,20 +334,26 @@ Status ShardedKvssd::kvs_iterator_next(std::uint64_t handle,
   keys_out->clear();
   std::vector<Bytes> batch;
   while (keys_out->size() < max_keys && it.shard < shards_.size()) {
-    if (!it.dev_open) {
-      // Lazy per-shard open: one device handle lives at a time, bound to
-      // the iterator's pin (still valid or open_at fails with the pin's
-      // error — kSnapshotTooOld once expired).
-      const auto h = dev_iter_open(it.shard, it.prefix, it.snap);
-      if (!h) return h.status();
-      it.dev_handle = *h;
-      it.dev_open = true;
-    }
-    const Status st = dev_iter_next(it.shard, it.dev_handle,
-                                    max_keys - keys_out->size(), &batch);
+    Status st = Status::kOk;
+    call(it.shard, [&](kvssd::KvssdDevice& d) {
+      if (!it.dev_open) {
+        // Lazy per-shard open: one device handle lives at a time, bound
+        // to the iterator's pin (still valid or open_at fails with the
+        // pin's error — kSnapshotTooOld once expired).
+        const auto h = d.kvs_open_iterator(it.prefix, &it.snap);
+        if (!h) {
+          st = h.status();
+          return;
+        }
+        it.dev_handle = *h;
+        it.dev_open = true;
+      }
+      st = d.kvs_iterator_next(it.dev_handle, max_keys - keys_out->size(),
+                               &batch);
+      if (st == Status::kNotFound) (void)d.kvs_close_iterator(it.dev_handle);
+    });
     if (st == Status::kNotFound) {
       // Shard exhausted: advance the cursor.
-      (void)dev_iter_close(it.shard, it.dev_handle);
       it.dev_open = false;
       it.dev_handle = 0;
       it.shard++;
@@ -592,167 +374,38 @@ Status ShardedKvssd::kvs_close_iterator(std::uint64_t handle) {
   const auto found = array_iters_.find(handle);
   if (found == array_iters_.end()) return Status::kInvalidArgument;
   ArrayIter& it = found->second;
-  if (it.dev_open) (void)dev_iter_close(it.shard, it.dev_handle);
+  if (it.dev_open) {
+    call(it.shard, [&](kvssd::KvssdDevice& d) {
+      (void)d.kvs_close_iterator(it.dev_handle);
+    });
+  }
   if (it.owns_snap) (void)snaps_->registry.release(it.snap.id);
   array_iters_.erase(found);
   return Status::kOk;
 }
 
-Status ShardedKvssd::execute_batch(std::vector<BatchOp>& ops) {
-  fe_batch_ops_->inc(ops.size());
-  // Partition by shard, keeping relative order within each shard (the
-  // only order a compound command defines between ops on the same key).
-  std::vector<std::vector<BatchOp>> sub(shards_.size());
-  std::vector<std::vector<std::size_t>> origin(shards_.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const std::uint32_t sh = shard_of(ops[i].key);
-    sub[sh].push_back(std::move(ops[i]));
-    origin[sh].push_back(i);
-  }
-
-  Gate gate;
-  std::atomic<std::uint32_t> remaining{0};
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    if (!sub[sh].empty()) remaining.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (remaining.load(std::memory_order_relaxed) == 0) return Status::kOk;
-
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    if (sub[sh].empty()) continue;
-    ShardOp op;
-    op.kind = ShardOp::Kind::kBatch;
-    op.batch = &sub[sh];
-    op.done = [&] {
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) gate.open();
-    };
-    submit_to(sh, std::move(op));
-  }
-  gate.wait();
-
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    for (std::size_t j = 0; j < sub[sh].size(); ++j) {
-      ops[origin[sh][j]] = std::move(sub[sh][j]);
-    }
-  }
-  return Status::kOk;
-}
-
 // -- Asynchronous submission ---------------------------------------------------
 
-void ShardedKvssd::submit_put(Bytes key, Bytes value, Callback cb) {
-  fe_puts_->inc();
-  const std::uint32_t sh = shard_of(key);
-  ShardOp op;
-  op.kind = ShardOp::Kind::kPut;
-  op.key = std::move(key);
-  op.value = std::move(value);
-  op.cb = std::move(cb);
-  submit_to(sh, std::move(op));
-}
-
-void ShardedKvssd::submit_get(Bytes key, GetCallback cb) {
-  fe_gets_->inc();
-  const std::uint32_t sh = shard_of(key);
-  ShardOp op;
-  op.kind = ShardOp::Kind::kGet;
-  op.key = std::move(key);
-  op.get_cb = std::move(cb);
-  submit_to(sh, std::move(op));
-}
-
-void ShardedKvssd::submit_get(Bytes key, Callback cb) {
-  fe_gets_->inc();
-  const std::uint32_t sh = shard_of(key);
-  ShardOp op;
-  op.kind = ShardOp::Kind::kGet;
-  op.key = std::move(key);
-  op.cb = std::move(cb);
-  submit_to(sh, std::move(op));
-}
-
-void ShardedKvssd::submit_del(Bytes key, Callback cb) {
-  fe_dels_->inc();
-  const std::uint32_t sh = shard_of(key);
-  ShardOp op;
-  op.kind = ShardOp::Kind::kDel;
-  op.key = std::move(key);
-  op.cb = std::move(cb);
-  submit_to(sh, std::move(op));
+void ShardedKvssd::submit(api::Command&& cmd) {
+  switch (cmd.op) {
+    case api::Command::Op::kPut: fe_puts_->inc(); break;
+    case api::Command::Op::kGet: fe_gets_->inc(); break;
+    case api::Command::Op::kDel: fe_dels_->inc(); break;
+  }
+  const std::uint32_t sh = shard_of(cmd.key);
+  submit_to(sh, std::move(cmd));
 }
 
 void ShardedKvssd::set_completion_sink(api::IKvsBackend::CompletionSink sink) {
-  // Each shard device is touched only by its worker, so the install rides
-  // a barrier op whose `done` hook runs worker-side; the gate makes the
-  // call synchronous so callers may submit tagged ops right after.
-  Gate gate;
-  std::atomic<std::uint32_t> remaining{
-      static_cast<std::uint32_t>(shards_.size())};
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    ShardOp op;
-    op.kind = ShardOp::Kind::kBarrier;
-    op.done = [&, dev = shards_[sh]->dev.get()] {
-      dev->set_completion_sink(sink);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) gate.open();
-    };
-    submit_to(sh, std::move(op));
-  }
-  gate.wait();
-}
-
-void ShardedKvssd::submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) {
-  fe_puts_->inc();
-  const std::uint32_t sh = shard_of(key);
-  ShardOp op;
-  op.kind = ShardOp::Kind::kPut;
-  op.key = std::move(key);
-  op.value = std::move(value);
-  op.tag = tag;
-  op.tagged = true;
-  submit_to(sh, std::move(op));
-}
-
-void ShardedKvssd::submit_get_tagged(std::uint64_t tag, Bytes key) {
-  fe_gets_->inc();
-  const std::uint32_t sh = shard_of(key);
-  ShardOp op;
-  op.kind = ShardOp::Kind::kGet;
-  op.key = std::move(key);
-  op.tag = tag;
-  op.tagged = true;
-  submit_to(sh, std::move(op));
-}
-
-void ShardedKvssd::submit_del_tagged(std::uint64_t tag, Bytes key) {
-  fe_dels_->inc();
-  const std::uint32_t sh = shard_of(key);
-  ShardOp op;
-  op.kind = ShardOp::Kind::kDel;
-  op.key = std::move(key);
-  op.tag = tag;
-  op.tagged = true;
-  submit_to(sh, std::move(op));
+  // Each shard device is touched only by its worker, so the install is a
+  // control op; call_all makes it synchronous, so callers may submit
+  // right after.
+  call_all([&](std::uint32_t, kvssd::KvssdDevice& d) {
+    d.set_completion_sink(sink);
+  });
 }
 
 // -- Barriers and whole-array introspection ------------------------------------
-
-void ShardedKvssd::control_all(ShardOp::Kind kind,
-                               std::vector<Snapshot>* snaps) {
-  fe_barriers_->inc();
-  Gate gate;
-  std::atomic<std::uint32_t> remaining{
-      static_cast<std::uint32_t>(shards_.size())};
-  if (snaps) snaps->assign(shards_.size(), Snapshot{});
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    ShardOp op;
-    op.kind = kind;
-    if (snaps) op.snap_out = &(*snaps)[sh];
-    op.done = [&] {
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) gate.open();
-    };
-    submit_to(sh, std::move(op));
-  }
-  gate.wait();
-}
 
 std::uint64_t ShardedKvssd::completed_total() const {
   std::uint64_t total = 0;
@@ -764,90 +417,71 @@ std::uint64_t ShardedKvssd::completed_total() const {
 
 std::size_t ShardedKvssd::drain() {
   const std::uint64_t before = completed_total();
-  control_all(ShardOp::Kind::kBarrier, nullptr);
+  call_all([](std::uint32_t, kvssd::KvssdDevice&) {});
   return static_cast<std::size_t>(completed_total() - before);
 }
 
-Status ShardedKvssd::flush() {
-  Gate gate;
-  std::atomic<std::uint32_t> remaining{
-      static_cast<std::uint32_t>(shards_.size())};
+Status ShardedKvssd::call_all_status(
+    const std::function<Status(kvssd::KvssdDevice&)>& verb) {
   std::vector<Status> statuses(shards_.size(), Status::kOk);
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    ShardOp op;
-    op.kind = ShardOp::Kind::kFlush;
-    op.cb = [&, sh](Status s) {
-      statuses[sh] = s;
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) gate.open();
-    };
-    submit_to(sh, std::move(op));
-  }
-  gate.wait();
+  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
+    statuses[sh] = verb(d);
+  });
   for (const Status s : statuses) {
     if (!ok(s)) return s;
   }
   return Status::kOk;
+}
+
+Status ShardedKvssd::flush() {
+  return call_all_status([](kvssd::KvssdDevice& d) { return d.flush(); });
 }
 
 Status ShardedKvssd::checkpoint() {
-  Gate gate;
-  std::atomic<std::uint32_t> remaining{
-      static_cast<std::uint32_t>(shards_.size())};
-  std::vector<Status> statuses(shards_.size(), Status::kOk);
-  for (std::uint32_t sh = 0; sh < shards_.size(); ++sh) {
-    ShardOp op;
-    op.kind = ShardOp::Kind::kCheckpoint;
-    op.cb = [&, sh](Status s) {
-      statuses[sh] = s;
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) gate.open();
-    };
-    submit_to(sh, std::move(op));
-  }
-  gate.wait();
-  for (const Status s : statuses) {
-    if (!ok(s)) return s;
-  }
-  return Status::kOk;
+  return call_all_status([](kvssd::KvssdDevice& d) { return d.checkpoint(); });
 }
 
 kvssd::DeviceStats ShardedKvssd::stats() {
-  std::vector<Snapshot> snaps;
-  control_all(ShardOp::Kind::kSnapshot, &snaps);
+  std::vector<kvssd::DeviceStats> per_shard(shards_.size());
+  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
+    per_shard[sh] = d.stats();
+  });
   kvssd::DeviceStats agg;
-  for (const Snapshot& s : snaps) agg.merge_from(s.stats);
+  for (const kvssd::DeviceStats& s : per_shard) agg.merge_from(s);
   return agg;
 }
 
 SimTime ShardedKvssd::sim_time() {
-  std::vector<Snapshot> snaps;
-  control_all(ShardOp::Kind::kSnapshot, &snaps);
-  SimTime t = 0;
-  for (const Snapshot& s : snaps) t = std::max(t, s.now);
-  return t;
+  std::vector<SimTime> now(shards_.size());
+  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
+    now[sh] = d.clock().now();
+  });
+  return *std::max_element(now.begin(), now.end());
 }
 
 SimTime ShardedKvssd::total_stall() {
-  std::vector<Snapshot> snaps;
-  control_all(ShardOp::Kind::kSnapshot, &snaps);
-  SimTime t = 0;
-  for (const Snapshot& s : snaps) t = std::max(t, s.stall);
-  return t;
+  std::vector<SimTime> stall(shards_.size());
+  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
+    stall[sh] = d.clock().total_stall();
+  });
+  return *std::max_element(stall.begin(), stall.end());
 }
 
 std::uint64_t ShardedKvssd::key_count() {
-  std::vector<Snapshot> snaps;
-  control_all(ShardOp::Kind::kSnapshot, &snaps);
+  std::vector<std::uint64_t> keys(shards_.size());
+  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
+    keys[sh] = d.key_count();
+  });
   std::uint64_t n = 0;
-  for (const Snapshot& s : snaps) n += s.keys;
+  for (const std::uint64_t k : keys) n += k;
   return n;
 }
 
 std::vector<obs::MetricsSnapshot> ShardedKvssd::shard_metrics_snapshots() {
-  std::vector<Snapshot> snaps;
-  control_all(ShardOp::Kind::kMetrics, &snaps);
-  std::vector<obs::MetricsSnapshot> out;
-  out.reserve(snaps.size());
-  for (Snapshot& s : snaps) out.push_back(std::move(s.metrics));
+  std::vector<obs::MetricsSnapshot> out(shards_.size());
+  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
+    out[sh] = d.metrics_snapshot();
+  });
   return out;
 }
 

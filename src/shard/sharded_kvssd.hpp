@@ -5,16 +5,19 @@
 // directory bits — across N KvssdDevice instances. Each shard is owned
 // by a dedicated worker thread fed through a bounded submission ring;
 // only that worker ever touches the shard's device, so the
-// single-threaded emulator needs no internal locking. Completions flow
-// back via callbacks executed on the worker thread.
+// single-threaded emulator needs no internal locking. A ring entry is
+// either a data `api::Command` for the device queue, or one control op:
+// a function the worker runs on the device after draining that queue.
+// Completions of data commands flow back through the batch sink, fired
+// on the worker thread.
 //
-// The front-end exposes the device's put/get/del/exist + batch verbs
-// (sync verbs block on their own completion and stay ordered behind
-// previously submitted async commands on the same shard) plus drain()
-// and flush() barriers across all shards. Whole-array figures:
-// DeviceStats are merged (histograms included) and simulated time is
-// the MAX across shard clocks — shards advance their clocks
-// concurrently, so the slowest shard defines array wall-clock.
+// Every synchronous verb, barrier and introspection call is a control
+// op, issued through call() (one shard) or call_all() (every shard):
+// it runs the shard device's own sync verb and observes every command
+// submitted to that shard before it. Whole-array figures: DeviceStats
+// are merged (histograms included) and simulated time is the MAX across
+// shard clocks — shards advance their clocks concurrently, so the
+// slowest shard defines array wall-clock.
 #pragma once
 
 #include <atomic>
@@ -24,6 +27,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "api/backend.hpp"
@@ -45,10 +49,6 @@ struct ShardedConfig {
 
 class ShardedKvssd : public api::IKvsBackend {
  public:
-  using Callback = kvssd::KvssdDevice::Callback;
-  using GetCallback = kvssd::KvssdDevice::GetCallback;
-  using BatchOp = kvssd::KvssdDevice::BatchOp;
-
   explicit ShardedKvssd(ShardedConfig cfg);
   ~ShardedKvssd() override;
 
@@ -73,27 +73,18 @@ class ShardedKvssd : public api::IKvsBackend {
   /// FaultInjector on a shard's NAND to model an abrupt cut instead.
   std::vector<std::unique_ptr<flash::NandDevice>> release_nands();
 
-  // -- Synchronous verbs (block until the op completes on its shard) ----------
+  // -- Synchronous verbs (the shard device's own verb, run by call()) ---------
   Status put(ByteSpan key, ByteSpan value) override;
   Status get(ByteSpan key, Bytes* value_out) override;
   Status del(ByteSpan key) override;
   Status exist(ByteSpan key) override;
-  /// Prefix scan across the whole array: every shard scans its keyspace
-  /// slice (behind its queued work), results are merged, sorted
-  /// lexicographically for a deterministic order, and truncated to
-  /// `limit`. kUnsupported unless the shard devices keep prefix
-  /// signatures (DeviceConfig::prefix_signatures).
-  Status iterate_prefix(ByteSpan prefix, std::vector<Bytes>* keys_out,
-                        std::size_t limit = SIZE_MAX) override;
-  /// Compound command across the array: ops are partitioned by shard
-  /// (relative order preserved within each shard), executed as one
-  /// sub-batch per shard, and per-op status/value written back in place.
-  Status execute_batch(std::vector<BatchOp>& ops);
 
   // -- MVCC snapshots (DESIGN.md §13) ----------------------------------------
   /// Pins ONE device-global epoch: every shard stamps from the same
   /// shared EpochSource, so a snapshot is a consistent cut across the
   /// whole array — a cross-shard scan at the pin never mixes epochs.
+  /// Pins after a cross-shard barrier, so the cut includes every command
+  /// submitted before the call.
   Result<api::SnapshotHandle> open_snapshot() override;
   Status release_snapshot(const api::SnapshotHandle& snap) override;
   /// Point read as of the snapshot, routed to the key's shard (behind
@@ -104,7 +95,8 @@ class ShardedKvssd : public api::IKvsBackend {
   // -- Streaming iterator handles (SNIA-style; §II-A) ------------------------
   /// Array-wide key iterator: walks the shards in shard order, holding
   /// one device iterator at a time, all bound to the same pinned epoch
-  /// (the caller's snapshot, or an internal pin when `snap` is null).
+  /// (the caller's snapshot, or an internal pin taken as open_snapshot
+  /// takes one when `snap` is null).
   /// Keys stream in per-shard candidate order, shard-major — a stable,
   /// deterministic order, but not lexicographic across shards.
   Result<std::uint64_t> kvs_open_iterator(ByteSpan prefix,
@@ -116,21 +108,15 @@ class ShardedKvssd : public api::IKvsBackend {
   /// The array-shared snapshot context (epoch source + pin registry).
   [[nodiscard]] ftl::SnapshotContext& snapshots() noexcept { return *snaps_; }
 
-  // -- Asynchronous submission (callbacks run on the shard's worker) ----------
-  void submit_put(Bytes key, Bytes value, Callback cb = {}) override;
-  void submit_get(Bytes key, GetCallback cb) override;
-  void submit_get(Bytes key, Callback cb = {});
-  void submit_del(Bytes key, Callback cb = {}) override;
-
-  // -- Tagged submission (batched completion fast path) ------------------------
+  // -- Asynchronous submission ------------------------------------------------
+  /// Routes the command to its shard's ring; the shard's worker queues it
+  /// on the device and drains once per popped ring batch.
+  void submit(api::Command&& cmd) override;
   /// Installs the sink on every shard device — each fires it from its
   /// own worker, one call per drained batch, so the sink must be
   /// thread-safe. Blocks until every worker has adopted the sink (a
-  /// cross-shard barrier); install before the first tagged submit.
+  /// cross-shard barrier); install before the first submit.
   void set_completion_sink(api::IKvsBackend::CompletionSink sink) override;
-  void submit_put_tagged(std::uint64_t tag, Bytes key, Bytes value) override;
-  void submit_get_tagged(std::uint64_t tag, Bytes key) override;
-  void submit_del_tagged(std::uint64_t tag, Bytes key) override;
 
   /// Idle-window maintenance is already owned by the shard workers —
   /// each pumps its own device whenever its submission ring is empty
@@ -140,9 +126,9 @@ class ShardedKvssd : public api::IKvsBackend {
   bool pump_background() override { return false; }
 
   /// Cross-shard barrier: waits until every command submitted before the
-  /// call has completed on its shard. Returns how many commands
-  /// completed since the previous barrier (approximate under concurrent
-  /// submitters).
+  /// call has completed on its shard. Returns how many submitted
+  /// commands completed since the previous barrier (approximate under
+  /// concurrent submitters); sync verbs are not counted.
   std::size_t drain() override;
   /// drain() + persists buffered data and index state on every shard.
   Status flush() override;
@@ -204,54 +190,10 @@ class ShardedKvssd : public api::IKvsBackend {
     bool dev_open = false;
   };
 
-  /// Worker round trips for the array-iterator cursor (caller-side).
-  Result<std::uint64_t> dev_iter_open(std::uint32_t shard, ByteSpan prefix,
-                                      const api::SnapshotHandle& snap);
-  Status dev_iter_next(std::uint32_t shard, std::uint64_t handle,
-                       std::size_t max_keys, std::vector<Bytes>* keys_out);
-  Status dev_iter_close(std::uint32_t shard, std::uint64_t handle);
-
-  struct Snapshot {
-    kvssd::DeviceStats stats;
-    SimTime now = 0;
-    SimTime stall = 0;
-    std::uint64_t keys = 0;
-    obs::MetricsSnapshot metrics;  ///< filled by kMetrics only
-  };
-
-  struct ShardOp {
-    enum class Kind : std::uint8_t {
-      kPut,
-      kGet,
-      kDel,
-      kExist,
-      kIterate,
-      kBatch,
-      kFlush,
-      kCheckpoint,
-      kSnapshot,
-      kMetrics,
-      kBarrier,
-      kReadAt,     ///< snapshot point read (key + snap + get_cb)
-      kIterOpen,   ///< open a device iterator (key = prefix, snap, handle_out)
-      kIterNext,   ///< stream keys (tag = device handle, limit, keys)
-      kIterClose,  ///< close a device iterator (tag = device handle)
-    };
-    Kind kind = Kind::kBarrier;
-    Bytes key;
-    Bytes value;
-    Callback cb;                 ///< put/del/exist/iterate/flush/ckpt completion
-    GetCallback get_cb;                   ///< get completion
-    std::uint64_t tag = 0;                ///< tagged path: echoed on completion
-    bool tagged = false;                  ///< complete via the device's sink
-    std::vector<BatchOp>* batch = nullptr;  ///< sub-batch, owned by waiter
-    std::vector<Bytes>* keys = nullptr;   ///< iterate: per-shard key sink
-    std::size_t limit = 0;                ///< iterate: per-shard result cap
-    api::SnapshotHandle snap{};           ///< kReadAt / kIterOpen pin
-    std::uint64_t* handle_out = nullptr;  ///< kIterOpen: device handle sink
-    Snapshot* snap_out = nullptr;
-    std::function<void()> done;           ///< control-op completion
-  };
+  /// One shard-ring entry: a data command for the device queue, or a
+  /// control op the worker runs after draining that queue.
+  using Control = std::function<void(kvssd::KvssdDevice&)>;
+  using ShardOp = std::variant<api::Command, Control>;
 
   struct Shard {
     std::unique_ptr<kvssd::KvssdDevice> dev;
@@ -262,9 +204,23 @@ class ShardedKvssd : public api::IKvsBackend {
 
   void worker_loop(Shard& s);
   void submit_to(std::uint32_t shard, ShardOp op);
+  /// Runs `fn` on `shard`'s device from its worker, after the worker has
+  /// drained every command submitted to that shard before the call, and
+  /// returns once `fn` has. `fn` may touch caller-owned state by
+  /// reference. Must not be called from a worker thread (a sink).
+  void call(std::uint32_t shard, const Control& fn);
+  /// call() on every shard at once (a cross-shard barrier); `fn` gets the
+  /// shard index and runs concurrently across shards, so it may only
+  /// write per-shard state.
+  void call_all(
+      const std::function<void(std::uint32_t, kvssd::KvssdDevice&)>& fn);
+  /// Runs `verb` on every shard (call_all); the first non-kOk status in
+  /// shard order wins.
+  Status call_all_status(
+      const std::function<Status(kvssd::KvssdDevice&)>& verb);
+  /// open_snapshot(): a pin taken after a drain barrier.
+  api::SnapshotHandle pin_after_barrier();
   [[nodiscard]] std::uint32_t shard_of_sig(std::uint64_t sig) const;
-  /// Pushes a barrier-like op (kind + done) to every shard and waits.
-  void control_all(ShardOp::Kind kind, std::vector<Snapshot>* snaps);
   [[nodiscard]] std::uint64_t completed_total() const;
 
   ShardedConfig cfg_;
@@ -293,8 +249,7 @@ class ShardedKvssd : public api::IKvsBackend {
   obs::Counter* fe_gets_ = nullptr;    ///< frontend.gets
   obs::Counter* fe_dels_ = nullptr;    ///< frontend.dels
   obs::Counter* fe_exists_ = nullptr;  ///< frontend.exists
-  obs::Counter* fe_batch_ops_ = nullptr;  ///< frontend.batch_ops
-  obs::Counter* fe_barriers_ = nullptr;   ///< frontend.barriers
+  obs::Counter* fe_barriers_ = nullptr;  ///< frontend.barriers (call_all)
 };
 
 }  // namespace rhik::shard

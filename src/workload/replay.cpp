@@ -26,41 +26,53 @@ ReplayResult replay(kvssd::KvssdDevice& device, const Trace& trace,
       result.failed_ops++;
     }
   };
+  const auto note_get = [&](Status s, std::uint64_t key_id, const Bytes& v) {
+    note(s);
+    if (!ok(s)) return;
+    result.bytes_read += v.size();
+    if (opts.verify_values && !check_value(key_id, v)) result.failed_ops++;
+  };
 
-  for (const TraceOp& op : trace) {
-    const Bytes key = key_for_id(op.key_id, opts.key_size);
+  if (opts.async) {
+    // Tag = trace index, so each completion is accounted against its op
+    // exactly as the sync path accounts it.
+    device.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+      for (const api::TaggedCompletion& c : done) {
+        if (c.op == api::Command::Op::kGet) {
+          note_get(c.status, trace[c.tag].key_id, c.value);
+        } else {
+          note(c.status);
+        }
+      }
+    });
+  }
+
+  for (std::uint64_t i = 0; i < trace.size(); ++i) {
+    const TraceOp& op = trace[i];
+    Bytes key = key_for_id(op.key_id, opts.key_size);
     switch (op.type) {
-      case OpType::kPut: {
+      case OpType::kPut:
         value.resize(op.value_size);
         fill_value(op.key_id, value);
         result.bytes_written += value.size();
         if (opts.async) {
-          device.submit_put(key, value, note);
+          device.submit({api::Command::Op::kPut, i, std::move(key), value});
           in_flight++;
         } else {
           note(device.put(key, value));
         }
         break;
-      }
-      case OpType::kGet: {
+      case OpType::kGet:
         if (opts.async) {
-          device.submit_get(key, note);
+          device.submit({api::Command::Op::kGet, i, std::move(key), {}});
           in_flight++;
         } else {
-          const Status s = device.get(key, &value);
-          note(s);
-          if (ok(s)) {
-            result.bytes_read += value.size();
-            if (opts.verify_values && !check_value(op.key_id, value)) {
-              result.failed_ops++;
-            }
-          }
+          note_get(device.get(key, &value), op.key_id, value);
         }
         break;
-      }
       case OpType::kDel:
         if (opts.async) {
-          device.submit_del(key, note);
+          device.submit({api::Command::Op::kDel, i, std::move(key), {}});
           in_flight++;
         } else {
           note(device.del(key));
@@ -76,7 +88,10 @@ ReplayResult replay(kvssd::KvssdDevice& device, const Trace& trace,
       in_flight = 0;
     }
   }
-  if (opts.async) device.drain();
+  if (opts.async) {
+    device.drain();
+    device.set_completion_sink({});
+  }
   result.elapsed = device.clock().now() - t0;
   return result;
 }

@@ -12,7 +12,9 @@ namespace rhik::workload {
 
 struct ReplayOptions {
   std::uint32_t key_size = 16;
-  bool async = false;              ///< submit through the async queue
+  /// Submit through the async queue. The run installs its own
+  /// completion sink on the device and clears it at the end.
+  bool async = false;
   std::uint32_t async_batch = 64;  ///< drain() every N submissions
   bool verify_values = false;      ///< check returned bytes on gets
 };

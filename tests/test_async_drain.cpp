@@ -1,7 +1,7 @@
 // Async submission-path semantics: value-carrying get completions,
-// exactly-once callbacks, sync/async status parity, and the index-aware
-// (bucket-grouped) batch drain returning results identical to the
-// strictly serial drain.
+// exactly-once delivery through the batch sink, sync/async status
+// parity, and the index-aware (bucket-grouped) batch drain returning
+// results identical to the strictly serial drain.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,36 +31,33 @@ TEST(AsyncDrain, GetCallbackCarriesValue) {
   ASSERT_EQ(dev.put(key("alpha"), key("value-one")), Status::kOk);
   ASSERT_EQ(dev.put(key("beta"), key("value-two")), Status::kOk);
 
-  int fired = 0;
-  dev.submit_get(owned("alpha"), [&](Status s, Bytes&& v) {
-    EXPECT_EQ(s, Status::kOk);
-    EXPECT_EQ(rhik::to_string(v), "value-one");
-    ++fired;
+  std::vector<api::TaggedCompletion> done;
+  dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& batch) {
+    for (auto& c : batch) done.push_back(std::move(c));
   });
-  dev.submit_get(owned("beta"), [&](Status s, Bytes&& v) {
-    EXPECT_EQ(s, Status::kOk);
-    EXPECT_EQ(rhik::to_string(v), "value-two");
-    ++fired;
-  });
-  dev.submit_get(owned("missing"), [&](Status s, Bytes&& v) {
-    EXPECT_EQ(s, Status::kNotFound);
-    EXPECT_TRUE(v.empty());
-    ++fired;
-  });
+  dev.submit({api::Command::Op::kGet, 1, owned("alpha"), {}});
+  dev.submit({api::Command::Op::kGet, 2, owned("beta"), {}});
+  dev.submit({api::Command::Op::kGet, 3, owned("missing"), {}});
   EXPECT_EQ(dev.drain(), 3u);
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(AsyncDrain, StatusOnlyGetCallbackStillWorks) {
-  KvssdDevice dev(small_config());
-  ASSERT_EQ(dev.put(key("k"), key("v")), Status::kOk);
-  int fired = 0;
-  dev.submit_get(owned("k"), [&](Status s) {
-    EXPECT_EQ(s, Status::kOk);
-    ++fired;
-  });
-  EXPECT_EQ(dev.drain(), 1u);
-  EXPECT_EQ(fired, 1);
+  ASSERT_EQ(done.size(), 3u);
+  for (const auto& c : done) {
+    EXPECT_EQ(c.op, api::Command::Op::kGet);
+    switch (c.tag) {
+      case 1:
+        EXPECT_EQ(c.status, Status::kOk);
+        EXPECT_EQ(c.value, owned("value-one"));
+        EXPECT_EQ(c.key, owned("alpha"));
+        break;
+      case 2:
+        EXPECT_EQ(c.status, Status::kOk);
+        EXPECT_EQ(c.value, owned("value-two"));
+        break;
+      default:
+        EXPECT_EQ(c.tag, 3u);
+        EXPECT_EQ(c.status, Status::kNotFound);
+        EXPECT_TRUE(c.value.empty());
+    }
+  }
 }
 
 /// Deterministic randomized mixed workload: op kind + key id + value.
@@ -118,41 +115,43 @@ std::vector<std::pair<Status, Bytes>> run_sync(KvssdDevice& dev,
 }
 
 /// Runs the workload through the async queue (drained every
-/// `batch` submissions); returns per-op (status, value) plus a per-op
-/// completion count so exactly-once delivery is checkable.
+/// `batch` submissions, tag = op index); returns per-op (status, value)
+/// plus a per-op completion count so exactly-once delivery is checkable.
 std::vector<std::pair<Status, Bytes>> run_async(
     KvssdDevice& dev, const std::vector<MixedOp>& ops, std::size_t batch,
     std::vector<int>* fire_counts) {
   std::vector<std::pair<Status, Bytes>> out(ops.size(),
                                             {Status::kBusy, Bytes{}});
   fire_counts->assign(ops.size(), 0);
+  dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (api::TaggedCompletion& c : done) {
+      out[c.tag] = {c.status, std::move(c.value)};
+      (*fire_counts)[c.tag]++;
+    }
+  });
   std::size_t queued = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const MixedOp& op = ops[i];
-    const Bytes k = workload::key_for_id(op.id, 16);
+    api::Command cmd;
+    cmd.tag = i;
+    cmd.key = workload::key_for_id(op.id, 16);
     switch (op.kind) {
       case MixedOp::Kind::kPut:
-        dev.submit_put(k, value_for(op.id), [&, i](Status s) {
-          out[i].first = s;
-          (*fire_counts)[i]++;
-        });
+        cmd.op = api::Command::Op::kPut;
+        cmd.value = value_for(op.id);
         break;
       case MixedOp::Kind::kGet:
-        dev.submit_get(k, [&, i](Status s, Bytes&& v) {
-          out[i] = {s, std::move(v)};
-          (*fire_counts)[i]++;
-        });
+        cmd.op = api::Command::Op::kGet;
         break;
       case MixedOp::Kind::kDel:
-        dev.submit_del(k, [&, i](Status s) {
-          out[i].first = s;
-          (*fire_counts)[i]++;
-        });
+        cmd.op = api::Command::Op::kDel;
         break;
     }
+    dev.submit(std::move(cmd));
     if (++queued % batch == 0) dev.drain();
   }
   dev.drain();
+  dev.set_completion_sink({});
   return out;
 }
 
@@ -208,10 +207,13 @@ TEST(AsyncDrain, GroupingReducesIndexFlashReadsUnderCachePressure) {
       EXPECT_EQ(dev.put(workload::key_for_id(id, 16), v), Status::kOk);
     }
     dev.index().reset_op_stats();
+    dev.set_completion_sink([](std::vector<api::TaggedCompletion>&& done) {
+      for (const auto& c : done) EXPECT_EQ(c.status, Status::kOk);
+    });
     Rng rng(99);  // same draw sequence for both devices
     for (std::size_t i = 0; i < kGets; ++i) {
-      dev.submit_get(workload::key_for_id(rng.next_below(kKeys), 16),
-                     [](Status s) { EXPECT_EQ(s, Status::kOk); });
+      dev.submit({api::Command::Op::kGet, i,
+                  workload::key_for_id(rng.next_below(kKeys), 16), {}});
     }
     EXPECT_EQ(dev.drain(), kGets);
     return dev.index().op_stats().flash_reads;
@@ -227,14 +229,19 @@ TEST(AsyncDrain, GroupingReducesIndexFlashReadsUnderCachePressure) {
 TEST(AsyncDrain, CallbackResubmissionDrainsInSameCall) {
   KvssdDevice dev(small_config());
   int second_fired = 0;
-  dev.submit_put(owned("chain"), owned("v1"), [&](Status s) {
-    EXPECT_EQ(s, Status::kOk);
-    dev.submit_get(owned("chain"), [&](Status s2, Bytes&& v) {
-      EXPECT_EQ(s2, Status::kOk);
-      EXPECT_EQ(rhik::to_string(v), "v1");
-      ++second_fired;
-    });
+  dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (const auto& c : done) {
+      EXPECT_EQ(c.status, Status::kOk);
+      if (c.op == api::Command::Op::kPut) {
+        // Follow-up submitted from the sink: the same drain() runs it.
+        dev.submit({api::Command::Op::kGet, 2, owned("chain"), {}});
+      } else {
+        EXPECT_EQ(rhik::to_string(c.value), "v1");
+        ++second_fired;
+      }
+    }
   });
+  dev.submit({api::Command::Op::kPut, 1, owned("chain"), owned("v1")});
   EXPECT_EQ(dev.drain(), 2u);
   EXPECT_EQ(second_fired, 1);
 }

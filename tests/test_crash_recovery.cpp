@@ -174,21 +174,25 @@ TEST(CrashRecovery, CutInsideBackgroundQuantumKeepsFloor) {
   auto dev = std::make_unique<KvssdDevice>(cfg);
   std::map<std::string, std::string> ref;
   Rng rng(23);
-  // Churn through the batch API: per-op puts would tick a GC quantum
-  // each (the collector outruns the write stream and drains every stale
-  // block before we can observe it), but a batch ticks once at the end —
-  // so the stale blocks it creates are still standing afterwards.
-  std::vector<KvssdDevice::BatchOp> batch(4000);
-  for (auto& op : batch) {
+  // Churn through one drained batch: per-op puts would tick a GC
+  // quantum each (the collector outruns the write stream and drains every
+  // stale block before we can observe it), but a drain ticks once per
+  // batch — so the stale blocks it creates are still standing afterwards.
+  std::size_t failed = 0;
+  dev->set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (const auto& c : done) failed += ok(c.status) ? 0 : 1;
+  });
+  for (std::uint64_t i = 0; i < 4000; ++i) {
     const std::string k = "b" + std::to_string(rng.next_below(80));
     const std::string v(rng.next_range(150, 900),
                         static_cast<char>('a' + rng.next_below(26)));
-    op.key = Bytes(k.begin(), k.end());
-    op.value = Bytes(v.begin(), v.end());
+    dev->submit({api::Command::Op::kPut, i, Bytes(k.begin(), k.end()),
+                 Bytes(v.begin(), v.end())});
     ref[k] = v;
   }
-  ASSERT_EQ(dev->execute_batch(batch), Status::kOk);
-  for (const auto& op : batch) ASSERT_EQ(op.status, Status::kOk);
+  ASSERT_EQ(dev->drain(), 4000u);
+  ASSERT_EQ(failed, 0u);
+  dev->set_completion_sink({});
   ASSERT_EQ(dev->flush(), Status::kOk);  // ref is now the durability floor
 
   // Pump idle-window quanta until a victim is provably mid-flight.

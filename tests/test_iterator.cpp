@@ -1,5 +1,4 @@
-// Tests for the iterator command set (§II-A, §VI) and the compound
-// (batch) command extension.
+// Tests for the iterator command set (§II-A, §VI).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -124,12 +123,18 @@ TEST_F(IteratorTest, SnapshotDoesNotSeeLaterInserts) {
 
 TEST_F(IteratorTest, KeysDeletedBeforeOpenAreAbsent) {
   ASSERT_EQ(dev_.del(key("user:3")), Status::kOk);
-  std::vector<Bytes> keys;
-  ASSERT_EQ(dev_.iterate_prefix(key("user"), &keys), Status::kOk);
-  EXPECT_EQ(keys.size(), 24u);
-  for (const auto& k : keys) {
-    EXPECT_NE(rhik::to_string(ByteSpan{k}), "user:3");
+  auto handle = dev_.open_iterator(key("user"));
+  ASSERT_TRUE(handle);
+  std::size_t n = 0;
+  std::vector<IteratorEntry> batch;
+  while (dev_.iterator_next(*handle, 10, &batch) == Status::kOk) {
+    for (const auto& e : batch) {
+      EXPECT_NE(rhik::to_string(ByteSpan{e.key}), "user:3");
+      ++n;
+    }
   }
+  EXPECT_EQ(n, 24u);
+  EXPECT_EQ(dev_.close_iterator(*handle), Status::kOk);
 }
 
 TEST(Iterator, UnsupportedWithoutPrefixSignatures) {
@@ -141,58 +146,6 @@ TEST(Iterator, UnsupportedWithoutPrefixSignatures) {
   std::vector<IteratorEntry> batch;
   EXPECT_EQ(dev.iterator_next(1, 5, &batch), Status::kUnsupported);
   EXPECT_EQ(dev.close_iterator(1), Status::kUnsupported);
-}
-
-TEST(Batch, CompoundCommandExecutesGroup) {
-  DeviceConfig cfg;
-  cfg.geometry = flash::Geometry::tiny(64);
-  KvssdDevice dev(cfg);
-  ASSERT_EQ(dev.put(key("pre"), key("existing")), Status::kOk);
-
-  using Op = KvssdDevice::BatchOp;
-  std::vector<Op> ops(5);
-  ops[0] = {Op::Kind::kPut, Bytes{'a'}, Bytes{'1'}, Status::kOk};
-  ops[1] = {Op::Kind::kGet, Bytes{'a'}, {}, Status::kOk};
-  ops[2] = {Op::Kind::kExist, Bytes{'p', 'r', 'e'}, {}, Status::kOk};
-  ops[3] = {Op::Kind::kDel, Bytes{'a'}, {}, Status::kOk};
-  ops[4] = {Op::Kind::kGet, Bytes{'a'}, {}, Status::kOk};
-
-  ASSERT_EQ(dev.execute_batch(ops), Status::kOk);
-  EXPECT_EQ(ops[0].status, Status::kOk);
-  EXPECT_EQ(ops[1].status, Status::kOk);
-  EXPECT_EQ(rhik::to_string(ByteSpan{ops[1].value}), "1");
-  EXPECT_EQ(ops[2].status, Status::kOk);
-  EXPECT_EQ(ops[3].status, Status::kOk);
-  EXPECT_EQ(ops[4].status, Status::kNotFound);
-  EXPECT_EQ(dev.stats().batches, 1u);
-}
-
-TEST(Batch, AmortizesCommandOverhead) {
-  // The compound-command motivation ([8]): N ops in one NVMe round trip
-  // cost one fixed overhead instead of N.
-  DeviceConfig cfg;
-  cfg.geometry = flash::Geometry::tiny(64);
-  cfg.cmd_overhead_ns = 50 * kMicrosecond;
-
-  KvssdDevice singles(cfg);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(singles.put(key("k" + std::to_string(i)), key("v")), Status::kOk);
-  }
-
-  KvssdDevice batched(cfg);
-  std::vector<KvssdDevice::BatchOp> ops;
-  for (int i = 0; i < 50; ++i) {
-    const std::string k = "k" + std::to_string(i);
-    ops.push_back({KvssdDevice::BatchOp::Kind::kPut, Bytes(k.begin(), k.end()),
-                   Bytes{'v'}, Status::kOk});
-  }
-  ASSERT_EQ(batched.execute_batch(ops), Status::kOk);
-  for (const auto& op : ops) EXPECT_EQ(op.status, Status::kOk);
-
-  EXPECT_LT(batched.clock().now(), singles.clock().now());
-  // Specifically: ~49 fewer command overheads.
-  EXPECT_LT(batched.clock().now() + 45 * cfg.cmd_overhead_ns,
-            singles.clock().now());
 }
 
 }  // namespace

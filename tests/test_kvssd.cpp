@@ -4,6 +4,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "hash/murmur.hpp"
@@ -220,12 +221,16 @@ TEST(Kvssd, AsyncDrainsAndPipelinesOverhead) {
   const auto owned = [](const std::string& s) { return Bytes(s.begin(), s.end()); };
   KvssdDevice async_dev(cfg);
   int completed = 0;
+  async_dev.set_completion_sink(
+      [&](std::vector<api::TaggedCompletion>&& batch) {
+        for (const auto& c : batch) {
+          EXPECT_EQ(c.status, Status::kOk);
+          ++completed;
+        }
+      });
   for (int i = 0; i < 200; ++i) {
-    async_dev.submit_put(owned("k" + std::to_string(i)), owned("v"),
-                         [&](Status s) {
-                           EXPECT_EQ(s, Status::kOk);
-                           ++completed;
-                         });
+    async_dev.submit({api::Command::Op::kPut, static_cast<std::uint64_t>(i),
+                      owned("k" + std::to_string(i)), owned("v")});
   }
   EXPECT_EQ(async_dev.drain(), 200u);
   EXPECT_EQ(completed, 200);
@@ -240,8 +245,12 @@ TEST(Kvssd, AsyncDeleteCompletesThroughQueue) {
   KvssdDevice dev(small_config());
   ASSERT_EQ(dev.put(key("gone-soon"), key("v")), Status::kOk);
   Status del_status = Status::kBusy;
-  dev.submit_del(Bytes{'g', 'o', 'n', 'e', '-', 's', 'o', 'o', 'n'},
-                 [&](Status s) { del_status = s; });
+  dev.set_completion_sink([&](std::vector<api::TaggedCompletion>&& batch) {
+    ASSERT_EQ(batch.size(), 1u);
+    del_status = batch[0].status;
+  });
+  dev.submit({api::Command::Op::kDel, 0,
+              Bytes{'g', 'o', 'n', 'e', '-', 's', 'o', 'o', 'n'}, {}});
   EXPECT_EQ(dev.drain(), 1u);
   EXPECT_EQ(del_status, Status::kOk);
   Bytes value;
@@ -258,8 +267,8 @@ TEST(Kvssd, DrainOnEmptyQueueIsNoop) {
 
 TEST(Kvssd, IteratePrefixRequiresConfig) {
   KvssdDevice dev(small_config());
-  std::vector<Bytes> keys;
-  EXPECT_EQ(dev.iterate_prefix(key("user"), &keys), Status::kUnsupported);
+  EXPECT_EQ(dev.kvs_open_iterator(key("user"), nullptr).status(),
+            Status::kUnsupported);
 }
 
 TEST(Kvssd, IteratePrefixEnumeratesExactMatches) {
@@ -270,15 +279,24 @@ TEST(Kvssd, IteratePrefixEnumeratesExactMatches) {
     ASSERT_EQ(dev.put(key("user:" + std::to_string(i)), key("u")), Status::kOk);
     ASSERT_EQ(dev.put(key("acct:" + std::to_string(i)), key("a")), Status::kOk);
   }
+  auto users = dev.kvs_open_iterator(key("user"), nullptr);
+  ASSERT_TRUE(users);
   std::vector<Bytes> keys;
-  ASSERT_EQ(dev.iterate_prefix(key("user"), &keys), Status::kOk);
+  std::vector<Bytes> batch;
+  while (dev.kvs_iterator_next(*users, 64, &batch) == Status::kOk) {
+    keys.insert(keys.end(), batch.begin(), batch.end());
+  }
+  ASSERT_EQ(dev.kvs_close_iterator(*users), Status::kOk);
   EXPECT_EQ(keys.size(), 20u);
   for (const auto& k : keys) {
     EXPECT_EQ(rhik::to_string(ByteSpan{k}.subspan(0, 5)), "user:");
   }
-  // Limit is honoured.
-  ASSERT_EQ(dev.iterate_prefix(key("acct"), &keys, 5), Status::kOk);
+  // The batch limit is honoured.
+  auto accts = dev.kvs_open_iterator(key("acct"), nullptr);
+  ASSERT_TRUE(accts);
+  ASSERT_EQ(dev.kvs_iterator_next(*accts, 5, &keys), Status::kOk);
   EXPECT_EQ(keys.size(), 5u);
+  EXPECT_EQ(dev.kvs_close_iterator(*accts), Status::kOk);
 }
 
 TEST(Kvssd, MlHashBackendWorksEndToEnd) {

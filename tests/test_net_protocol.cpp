@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -17,9 +18,19 @@
 namespace rhik::net {
 namespace {
 
+/// Every assigned opcode (4, the retired one-shot ITER, is a gap).
+constexpr Opcode kOpcodes[] = {Opcode::kPut,      Opcode::kGet,
+                               Opcode::kDel,      Opcode::kStatus,
+                               Opcode::kIterOpen, Opcode::kIterNext,
+                               Opcode::kIterClose};
+
+Opcode random_opcode(std::mt19937_64& rng) {
+  return kOpcodes[rng() % std::size(kOpcodes)];
+}
+
 RequestFrame random_request(std::mt19937_64& rng, const WireLimits& limits) {
   RequestFrame f;
-  f.opcode = static_cast<Opcode>(1 + rng() % 5);
+  f.opcode = random_opcode(rng);
   f.tenant_id = static_cast<std::uint32_t>(rng());
   f.request_id = rng();
   f.limit = static_cast<std::uint32_t>(rng() % 1000);
@@ -35,7 +46,7 @@ RequestFrame random_request(std::mt19937_64& rng, const WireLimits& limits) {
 
 ResponseFrame random_response(std::mt19937_64& rng) {
   ResponseFrame f;
-  f.opcode = static_cast<Opcode>(1 + rng() % 5);
+  f.opcode = random_opcode(rng);
   f.status = static_cast<api::KvsResult>(
       rng() % (static_cast<unsigned>(api::KvsResult::KVS_ERR_QUEUE_FULL) + 1));
   f.request_id = rng();
@@ -192,7 +203,7 @@ TEST(NetProtocol, OversizedDeclarationRejectedBeforeBody) {
 }
 
 // Regression: the response decoder's kTooLarge ceiling must scale with
-// WireLimits::max_iter_keys — a full-sized ITER key list (max_iter_keys
+// WireLimits::max_iter_keys — a full-sized ITER_NEXT key list (max_iter_keys
 // keys of max_key_len bytes) is a valid frame the server can send, so
 // the client must never reject it. A hardcoded smaller allowance used
 // to poison the decoder on legitimate large responses.
@@ -205,7 +216,7 @@ TEST(NetProtocol, ResponseCapScalesWithMaxIterKeys) {
       limits.max_value_len + (limits.max_key_len + 2) * limits.max_iter_keys;
 
   ResponseFrame f;
-  f.opcode = Opcode::kIter;
+  f.opcode = Opcode::kIterNext;
   f.status = api::KvsResult::KVS_SUCCESS;
   f.value.resize(cap);  // exactly at the ceiling: must decode
   Bytes stream;
@@ -255,14 +266,29 @@ TEST(NetProtocol, BadOpcodeAndFlagsFatal) {
     return frame;
   };
 
-  // 9 = one past kIterClose, the highest assigned opcode.
-  for (const std::uint8_t bad_op : {std::uint8_t{0}, std::uint8_t{9},
-                                    std::uint8_t{255}}) {
+  ResponseFrame resp;
+  resp.opcode = Opcode::kGet;
+  Bytes resp_stream;
+  encode_response(resp, &resp_stream);
+
+  // 4 = the retired one-shot ITER, a gap in the range; 9 = one past
+  // kIterClose, the highest assigned opcode.
+  for (const std::uint8_t bad_op : {std::uint8_t{0}, std::uint8_t{4},
+                                    std::uint8_t{9}, std::uint8_t{255}}) {
     const Bytes bad = patch_and_fix_crc(stream, 4, bad_op);
     RequestDecoder dec;
     dec.feed(ByteSpan(bad));
     RequestFrame out;
     EXPECT_EQ(dec.next(&out), DecodeStatus::kBadFrame) << int(bad_op);
+
+    Bytes bad_resp = resp_stream;
+    bad_resp[4] = bad_op;
+    put_u32(MutByteSpan(bad_resp.data(), bad_resp.size()), 24,
+            crc32(ByteSpan(bad_resp.data(), 24)));
+    ResponseDecoder rdec;
+    rdec.feed(ByteSpan(bad_resp));
+    ResponseFrame rout;
+    EXPECT_EQ(rdec.next(&rout), DecodeStatus::kBadFrame) << int(bad_op);
   }
   const Bytes bad_flags = patch_and_fix_crc(stream, 5, 1);
   RequestDecoder dec;

@@ -328,7 +328,8 @@ TEST(DeviceObs, AsyncDrainRecordsQueueWait) {
   Bytes value(128);
   for (std::uint64_t id = 0; id < 64; ++id) {
     workload::fill_value(id, value);
-    dev.submit_put(workload::key_for_id(id, 16), value);
+    dev.submit(
+        {api::Command::Op::kPut, id, workload::key_for_id(id, 16), value});
   }
   dev.drain();
 

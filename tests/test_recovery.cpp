@@ -220,6 +220,41 @@ TEST(Recovery, DoublePowerCycle) {
   EXPECT_EQ(rhik::to_string(value), "2");
 }
 
+TEST(Recovery, StaleSnapshotHandleStaysDeadAfterPowerCycle) {
+  // Nothing is stamped after the pre-crash pin, so the recovered epoch
+  // source restarts at the pinned epoch. The pins opened after recovery
+  // must still never alias the stale handle.
+  for (const bool checkpoints : {false, true}) {
+    SCOPED_TRACE(checkpoints ? "checkpoints" : "full scan");
+    DeviceConfig cfg = small_config();
+    cfg.prefix_signatures = true;
+    cfg.checkpoint.enabled = checkpoints;
+    auto dev = std::make_unique<KvssdDevice>(cfg);
+    ASSERT_EQ(dev->put(key("k"), key("v")), Status::kOk);
+    const auto stale = dev->open_snapshot();
+    ASSERT_TRUE(stale);
+    ASSERT_EQ(dev->flush(), Status::kOk);
+    auto recovered = KvssdDevice::recover(cfg, dev->release_nand());
+    ASSERT_TRUE(recovered);
+    dev = std::move(*recovered);
+
+    const auto first = dev->open_snapshot();
+    const auto second = dev->open_snapshot();
+    ASSERT_TRUE(first);
+    ASSERT_TRUE(second);
+    Bytes v;
+    EXPECT_EQ(dev->read_at(*stale, key("k"), &v), Status::kSnapshotTooOld);
+    EXPECT_EQ(dev->kvs_open_iterator(key("k"), &*stale).status(),
+              Status::kSnapshotTooOld);
+    EXPECT_EQ(dev->release_snapshot(*stale), Status::kSnapshotTooOld);
+    // The stale handle released nothing: the new pins still read.
+    EXPECT_EQ(dev->read_at(*first, key("k"), &v), Status::kOk);
+    EXPECT_EQ(rhik::to_string(v), "v");
+    EXPECT_EQ(dev->release_snapshot(*first), Status::kOk);
+    EXPECT_EQ(dev->release_snapshot(*second), Status::kOk);
+  }
+}
+
 TEST(Recovery, MismatchedGeometryRejected) {
   auto dev = std::make_unique<KvssdDevice>(small_config());
   ASSERT_EQ(dev->flush(), Status::kOk);

@@ -1,9 +1,10 @@
 // ShardedKvssd front-end: routing, sync/async verbs, cross-shard
-// drain/flush barriers, batch partitioning, stats aggregation and
-// single-shard parity with a raw device.
+// drain/flush barriers, the control-op ordering contract, stats
+// aggregation and single-shard parity with a raw device.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,11 @@ ShardedConfig make_config(std::uint32_t shards) {
 
 ByteSpan key(const std::string& s) { return as_bytes(s); }
 Bytes owned(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+api::Command put_cmd(std::uint64_t id, const std::string& value) {
+  return {api::Command::Op::kPut, id, workload::key_for_id(id, 16),
+          owned(value)};
+}
 
 TEST(Sharded, SyncRoundTripAcrossShards) {
   ShardedKvssd arr(make_config(4));
@@ -80,26 +86,28 @@ TEST(Sharded, AsyncCallbacksAndDrainBarrier) {
   ShardedKvssd arr(make_config(4));
   constexpr int kOps = 300;
   std::atomic<int> acks{0};
-  for (int i = 0; i < kOps; ++i) {
-    arr.submit_put(workload::key_for_id(i, 16), owned("v"),
-                   [&](Status s) {
-                     EXPECT_EQ(s, Status::kOk);
-                     acks.fetch_add(1, std::memory_order_relaxed);
-                   });
-  }
+  std::atomic<int> get_acks{0};
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (const auto& c : done) {
+      EXPECT_EQ(c.status, Status::kOk);
+      if (c.op == api::Command::Op::kGet) {
+        EXPECT_EQ(rhik::to_string(c.value), "v");
+        get_acks.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        acks.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  for (int i = 0; i < kOps; ++i) arr.submit(put_cmd(i, "v"));
   arr.drain();
   EXPECT_EQ(acks.load(), kOps);
   EXPECT_EQ(arr.key_count(), static_cast<std::uint64_t>(kOps));
   // Everything already completed: a second barrier completes nothing.
   EXPECT_EQ(arr.drain(), 0u);
 
-  std::atomic<int> get_acks{0};
   for (int i = 0; i < kOps; ++i) {
-    arr.submit_get(workload::key_for_id(i, 16), [&](Status s, Bytes&& v) {
-      EXPECT_EQ(s, Status::kOk);
-      EXPECT_EQ(rhik::to_string(v), "v");
-      get_acks.fetch_add(1, std::memory_order_relaxed);
-    });
+    arr.submit({api::Command::Op::kGet, static_cast<std::uint64_t>(i),
+                workload::key_for_id(i, 16), {}});
   }
   arr.drain();
   EXPECT_EQ(get_acks.load(), kOps);
@@ -108,9 +116,7 @@ TEST(Sharded, AsyncCallbacksAndDrainBarrier) {
 TEST(Sharded, FlushBarrierCoversAllShards) {
   ShardedKvssd arr(make_config(3));
   constexpr int kOps = 150;
-  for (int i = 0; i < kOps; ++i) {
-    arr.submit_put(workload::key_for_id(i, 16), owned("v"));
-  }
+  for (int i = 0; i < kOps; ++i) arr.submit(put_cmd(i, "v"));
   ASSERT_EQ(arr.flush(), Status::kOk);
   // flush() implies the drain barrier: every queued put completed on its
   // shard before the flush, so everything reads back immediately...
@@ -254,8 +260,7 @@ TEST(Sharded, MetricsStableUnderConcurrentDrains) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        arr.submit_put(workload::key_for_id(p * kPerProducer + i, 16),
-                       owned("value"));
+        arr.submit(put_cmd(p * kPerProducer + i, "value"));
       }
     });
   }
@@ -272,50 +277,61 @@ TEST(Sharded, MetricsStableUnderConcurrentDrains) {
   EXPECT_EQ(arr.key_count(), kTotal);
 }
 
-TEST(Sharded, ExecuteBatchPartitionsAndWritesBack) {
-  ShardedKvssd arr(make_config(4));
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(arr.put(workload::key_for_id(i, 16), key("old")), Status::kOk);
-  }
-
-  std::vector<ShardedKvssd::BatchOp> ops;
-  for (int i = 0; i < 50; ++i) {  // gets of present keys
-    ShardedKvssd::BatchOp op;
-    op.kind = ShardedKvssd::BatchOp::Kind::kGet;
-    op.key = workload::key_for_id(i, 16);
-    ops.push_back(std::move(op));
-  }
-  {  // delete one, probe one absent, update one
-    ShardedKvssd::BatchOp op;
-    op.kind = ShardedKvssd::BatchOp::Kind::kDel;
-    op.key = workload::key_for_id(7, 16);
-    ops.push_back(std::move(op));
-    op = {};
-    op.kind = ShardedKvssd::BatchOp::Kind::kExist;
-    op.key = owned("absent-key");
-    ops.push_back(std::move(op));
-    op = {};
-    op.kind = ShardedKvssd::BatchOp::Kind::kPut;
-    op.key = workload::key_for_id(3, 16);
-    op.value = owned("new");
-    ops.push_back(std::move(op));
-  }
-
-  ASSERT_EQ(arr.execute_batch(ops), Status::kOk);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(ops[i].status, Status::kOk) << i;
-    EXPECT_EQ(rhik::to_string(ops[i].value), "old") << i;
-  }
-  EXPECT_EQ(ops[50].status, Status::kOk);      // del
-  EXPECT_EQ(ops[51].status, Status::kNotFound);  // exist(absent)
-  EXPECT_EQ(ops[52].status, Status::kOk);      // update
+TEST(Sharded, SyncVerbsObserveEarlierAsyncSubmits) {
+  // Sync verbs, snapshot reads and iterators are control ops: each runs
+  // only after its shard drained every command submitted before it, so
+  // no drain() is needed between an async submit and a sync read.
+  ShardedConfig cfg = make_config(4);
+  cfg.device.prefix_signatures = true;
+  ShardedKvssd arr(cfg);
+  constexpr std::uint64_t kKeys = 64;
+  for (std::uint64_t i = 0; i < kKeys; ++i) arr.submit(put_cmd(i, "old"));
 
   Bytes v;
-  EXPECT_EQ(arr.get(workload::key_for_id(7, 16), &v), Status::kNotFound);
-  EXPECT_EQ(arr.get(workload::key_for_id(3, 16), &v), Status::kOk);
-  EXPECT_EQ(rhik::to_string(v), "new");
-  // One compound command was charged per shard touched, at most.
-  EXPECT_LE(arr.stats().batches, arr.num_shards());
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(arr.get(workload::key_for_id(i, 16), &v), Status::kOk) << i;
+    EXPECT_EQ(rhik::to_string(v), "old");
+  }
+
+  // Overwrite every key and delete the odd ones asynchronously, then
+  // read through every synchronous path at once.
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    arr.submit(put_cmd(i, "new"));
+    if (i % 2 == 1) {
+      arr.submit({api::Command::Op::kDel, i, workload::key_for_id(i, 16), {}});
+    }
+  }
+  EXPECT_EQ(arr.exist(workload::key_for_id(1, 16)), Status::kNotFound);
+  EXPECT_EQ(arr.exist(workload::key_for_id(0, 16)), Status::kOk);
+
+  auto snap = arr.open_snapshot();
+  ASSERT_TRUE(snap);
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    const Status want = i % 2 == 1 ? Status::kNotFound : Status::kOk;
+    EXPECT_EQ(arr.read_at(*snap, workload::key_for_id(i, 16), &v), want) << i;
+    if (ok(want)) {
+      EXPECT_EQ(rhik::to_string(v), "new");
+    }
+  }
+
+  // All ids share the key bytes "k000", the iterator's prefix class.
+  arr.submit({api::Command::Op::kDel, 0, workload::key_for_id(0, 16), {}});
+  auto iter = arr.kvs_open_iterator(Bytes{'k', '0', '0', '0'}, nullptr);
+  ASSERT_TRUE(iter);
+  std::set<Bytes> listed;
+  std::vector<Bytes> batch;
+  while (arr.kvs_iterator_next(*iter, 16, &batch) == Status::kOk) {
+    listed.insert(batch.begin(), batch.end());
+  }
+  ASSERT_EQ(arr.kvs_close_iterator(*iter), Status::kOk);
+  EXPECT_EQ(listed.size(), kKeys / 2 - 1);
+  EXPECT_EQ(listed.count(workload::key_for_id(0, 16)), 0u);
+  EXPECT_EQ(listed.count(workload::key_for_id(2, 16)), 1u);
+
+  EXPECT_EQ(arr.del(workload::key_for_id(2, 16)), Status::kOk);
+  EXPECT_EQ(arr.get(workload::key_for_id(2, 16), &v), Status::kNotFound);
+  EXPECT_EQ(arr.release_snapshot(*snap), Status::kOk);
+  EXPECT_EQ(arr.key_count(), kKeys / 2 - 2);
 }
 
 TEST(Sharded, SingleShardMatchesRawDevice) {
@@ -340,6 +356,9 @@ TEST(Sharded, SingleShardMatchesRawDevice) {
     }
   }
   EXPECT_EQ(arr.key_count(), raw.key_count());
+  // An array sync verb is the shard device's own sync verb, so the
+  // device clocks agree to the nanosecond.
+  EXPECT_EQ(arr.sim_time(), raw.clock().now());
 }
 
 TEST(Sharded, SingleShardRoutesEverythingToShardZero) {

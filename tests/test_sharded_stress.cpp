@@ -27,6 +27,9 @@ TEST(ShardedStress, ConcurrentSubmittersAndDrainBarriers) {
   constexpr std::uint64_t kKeyspace = 256;
   std::atomic<std::uint64_t> acks{0};
   std::atomic<bool> submitting{true};
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    acks.fetch_add(done.size(), std::memory_order_relaxed);
+  });
 
   std::vector<std::thread> submitters;
   submitters.reserve(kThreads);
@@ -36,25 +39,22 @@ TEST(ShardedStress, ConcurrentSubmittersAndDrainBarriers) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::uint64_t id =
             (static_cast<std::uint64_t>(t) * 7919 + i) % kKeyspace;
-        Bytes key = workload::key_for_id(id, 16);
+        api::Command cmd;
+        cmd.key = workload::key_for_id(id, 16);
         switch (i % 3) {
           case 0:
             workload::fill_value(id, value);
-            arr.submit_put(std::move(key), value, [&](Status) {
-              acks.fetch_add(1, std::memory_order_relaxed);
-            });
+            cmd.op = api::Command::Op::kPut;
+            cmd.value = value;
             break;
           case 1:
-            arr.submit_get(std::move(key), [&](Status, Bytes&&) {
-              acks.fetch_add(1, std::memory_order_relaxed);
-            });
+            cmd.op = api::Command::Op::kGet;
             break;
           case 2:
-            arr.submit_del(std::move(key), [&](Status) {
-              acks.fetch_add(1, std::memory_order_relaxed);
-            });
+            cmd.op = api::Command::Op::kDel;
             break;
         }
+        arr.submit(std::move(cmd));
         if (i % 128 == 0) {  // sprinkle sync ops between async bursts
           Bytes v;
           arr.get(workload::key_for_id(id, 16), &v);
@@ -129,6 +129,13 @@ TEST(ShardedStress, SnapshotScansUnderChurn) {
   }
 
   std::atomic<bool> stop{false};
+  // Async puts in flight per churner (tag = churner index).
+  std::atomic<std::uint64_t> inflight[2] = {0, 0};
+  arr.set_completion_sink([&](std::vector<api::TaggedCompletion>&& done) {
+    for (const auto& c : done) {
+      inflight[c.tag].fetch_sub(1, std::memory_order_relaxed);
+    }
+  });
   std::atomic<std::uint64_t> scans_completed{0};
   std::atomic<std::uint64_t> scans_expired{0};
 
@@ -154,7 +161,6 @@ TEST(ShardedStress, SnapshotScansUnderChurn) {
     churners.emplace_back([&, t] {
       Bytes v(kValueSize);
       std::uint64_t i = 0;
-      std::atomic<std::uint64_t> inflight{0};
       while (!stop.load(std::memory_order_acquire)) {
         const std::uint64_t id = (t * 7919 + i) % kKeyspace;
         Bytes key = workload::key_for_id(id, 16);
@@ -165,15 +171,14 @@ TEST(ShardedStress, SnapshotScansUnderChurn) {
           arr.put(std::move(key), v);
         } else {
           workload::fill_value(id * kGens + (i % kGens), v);
-          inflight.fetch_add(1, std::memory_order_relaxed);
-          arr.submit_put(std::move(key), v, [&](Status) {
-            inflight.fetch_sub(1, std::memory_order_relaxed);
-          });
+          inflight[t].fetch_add(1, std::memory_order_relaxed);
+          arr.submit({api::Command::Op::kPut, static_cast<std::uint64_t>(t),
+                      std::move(key), v});
         }
         if (++i % 64 == 0) arr.drain();
       }
       arr.drain();
-      EXPECT_EQ(inflight.load(), 0u);
+      EXPECT_EQ(inflight[t].load(), 0u);
     });
   }
 

@@ -200,23 +200,28 @@ TEST(IbmCos, TracesMatchProfiles) {
 }
 
 TEST(Replay, SyncRunProducesStats) {
-  kvssd::DeviceConfig cfg;
-  cfg.geometry = flash::Geometry::tiny(64);
-  kvssd::KvssdDevice dev(cfg);
-  Trace t;
-  for (std::uint64_t i = 0; i < 200; ++i) t.push_back({OpType::kPut, i, 64});
-  for (std::uint64_t i = 0; i < 200; ++i) t.push_back({OpType::kGet, i, 0});
+  // Both submission modes account reads and verify values alike.
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    kvssd::DeviceConfig cfg;
+    cfg.geometry = flash::Geometry::tiny(64);
+    kvssd::KvssdDevice dev(cfg);
+    Trace t;
+    for (std::uint64_t i = 0; i < 200; ++i) t.push_back({OpType::kPut, i, 64});
+    for (std::uint64_t i = 0; i < 200; ++i) t.push_back({OpType::kGet, i, 0});
 
-  ReplayOptions opts;
-  opts.verify_values = true;
-  const ReplayResult r = replay(dev, t, opts);
-  EXPECT_EQ(r.ops, 400u);
-  EXPECT_EQ(r.failed_ops, 0u);
-  EXPECT_EQ(r.not_found, 0u);
-  EXPECT_EQ(r.bytes_written, 200u * 64);
-  EXPECT_EQ(r.bytes_read, 200u * 64);
-  EXPECT_GT(r.elapsed, 0u);
-  EXPECT_GT(r.throughput_ops(), 0.0);
+    ReplayOptions opts;
+    opts.async = async;
+    opts.verify_values = true;
+    const ReplayResult r = replay(dev, t, opts);
+    EXPECT_EQ(r.ops, 400u);
+    EXPECT_EQ(r.failed_ops, 0u);
+    EXPECT_EQ(r.not_found, 0u);
+    EXPECT_EQ(r.bytes_written, 200u * 64);
+    EXPECT_EQ(r.bytes_read, 200u * 64);
+    EXPECT_GT(r.elapsed, 0u);
+    EXPECT_GT(r.throughput_ops(), 0.0);
+  }
 }
 
 TEST(Replay, AsyncRunFasterThanSync) {
