@@ -178,7 +178,8 @@ PolicyRunResult run_policy(bool original) {
                           static_cast<double>(user_bytes);
   // Churn dominates the op count 4:1, so the whole-run p99 tracks churn
   // behaviour (the sim clock is deterministic — no host noise).
-  r.p99_put_ns = dev.stats_snapshot().put_latency_ns.percentile(99);
+  r.p99_put_ns =
+      dev.metrics_snapshot().timer("op.put.total_ns")->percentile(99);
   r.erase_spread = ftl::erase_spread(dev.nand(), dev.allocator().first_reserved_block());
   r.background_quanta = dev.gc().stats().background_quanta;
   r.wear_migrations = dev.gc().stats().wear_migrations;

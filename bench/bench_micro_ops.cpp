@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "api/kvs.hpp"
 #include "bench_util.hpp"
@@ -196,25 +197,30 @@ void BM_ZipfianDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfianDraw);
 
-// -- Observability overhead guard ----------------------------------------------
-// Runs the same read-heavy microbench with the obs layer fully on
-// (per-op traces sampled every op) and fully off, and asserts the
-// device-clock throughput delta stays under 5%. The obs layer charges no
-// simulated time by design, so the sim-clock delta must be ~0; host
-// wall-clock delta (the real bookkeeping cost) is reported alongside.
+// -- Observability overhead report ---------------------------------------------
+// Host cost of the obs layer on a read-heavy sync-get microbench, at the
+// default trace sampling (every 32nd op) and at every op. Each of kReps
+// repetitions runs metrics-off and metrics-on back to back, alternating
+// which goes first so drifting host load hits both sides, and the report
+// prints the median and quartiles of host ns per get. Single runs on a
+// shared host swing by tens of percent and even 9-run medians move by
+// several points, so the host figures are reported, not gated. The gate
+// is the device clock: the obs layer charges no simulated time, so the
+// metrics-on device time must stay within 5% of metrics-off (it is equal
+// by construction).
 struct OverheadRun {
-  double device_mops = 0;  ///< ops per simulated second (millions)
-  double wall_mops = 0;    ///< ops per host second (millions)
+  double host_ns_per_get = 0;
+  SimTime device_ns = 0;  ///< simulated time the timed gets took
 };
 
-OverheadRun run_read_heavy(bool metrics_on) {
+OverheadRun run_read_heavy(bool metrics_on, std::uint32_t trace_sample_every) {
   constexpr std::uint64_t kKeys = 20'000;
-  constexpr std::uint64_t kOps = 100'000;
+  constexpr std::uint64_t kGets = 200'000;
   kvssd::DeviceConfig cfg;
   cfg.geometry = flash::Geometry::with_capacity(256ull << 20);
   cfg.rhik.anticipated_keys = kKeys;
   cfg.obs.metrics = metrics_on;
-  cfg.obs.trace_sample_every = 1;  // worst case: every op hits the ring
+  cfg.obs.trace_sample_every = trace_sample_every;
   kvssd::KvssdDevice dev(cfg);
 
   Bytes value(256);
@@ -227,45 +233,76 @@ OverheadRun run_read_heavy(bool metrics_on) {
   Bytes out;
   const SimTime sim0 = dev.clock().now();
   const auto wall0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < kOps; ++i) {
+  for (std::uint64_t i = 0; i < kGets; ++i) {
     const std::uint64_t id = rng.next_below(kKeys);
     benchmark::DoNotOptimize(dev.get(workload::key_for_id(id, 16), &out));
   }
   const auto wall1 = std::chrono::steady_clock::now();
-  const SimTime sim1 = dev.clock().now();
 
   OverheadRun r;
-  const double sim_s = static_cast<double>(sim1 - sim0) / 1e9;
-  const double wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  if (sim_s > 0) r.device_mops = kOps / sim_s / 1e6;
-  if (wall_s > 0) r.wall_mops = kOps / wall_s / 1e6;
+  r.device_ns = dev.clock().now() - sim0;
+  r.host_ns_per_get =
+      std::chrono::duration<double, std::nano>(wall1 - wall0).count() / kGets;
   return r;
 }
 
-/// Returns 0 when the guard passes, 1 when obs overhead breaks the budget.
-int metrics_overhead_guard() {
-  std::printf("\n-- metrics overhead guard (read-heavy sync gets) --\n");
-  const OverheadRun off = run_read_heavy(/*metrics_on=*/false);
-  const OverheadRun on = run_read_heavy(/*metrics_on=*/true);
-  const double device_delta =
-      off.device_mops > 0
-          ? (off.device_mops - on.device_mops) / off.device_mops
-          : 0.0;
-  const double wall_delta =
-      off.wall_mops > 0 ? (off.wall_mops - on.wall_mops) / off.wall_mops : 0.0;
-  std::printf("metrics off: %8.3f device Mops/s  %8.3f wall Mops/s\n",
-              off.device_mops, off.wall_mops);
-  std::printf("metrics on:  %8.3f device Mops/s  %8.3f wall Mops/s"
-              " (trace_sample_every=1)\n", on.device_mops, on.wall_mops);
-  std::printf("device-clock delta: %+.2f%% (budget < 5%%)   host wall-clock"
-              " delta: %+.2f%% (informational)\n",
-              device_delta * 100, wall_delta * 100);
-  if (device_delta >= 0.05) {
-    std::printf("FAIL: obs layer costs simulated time — it must not\n");
-    return 1;
+struct Quartiles {
+  double q1 = 0, median = 0, q3 = 0;
+};
+
+/// Quartiles of `v`, linearly interpolated between the sorted samples.
+Quartiles quartiles_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double p) {
+    const double pos = p * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// Returns 0 when the device-clock gate passes, 1 when it fails.
+int metrics_overhead_report() {
+  constexpr int kReps = 9;
+  std::printf("\n-- metrics overhead (read-heavy sync gets, %d alternating"
+              " off/on reps) --\n", kReps);
+  int rc = 0;
+  for (const std::uint32_t sample_every : {32u, 1u}) {
+    std::vector<double> off_ns, on_ns;
+    SimTime off_dev = 0, on_dev = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const bool on_first = rep % 2 == 1;
+      for (const bool on : {on_first, !on_first}) {
+        const OverheadRun r = run_read_heavy(on, sample_every);
+        (on ? on_ns : off_ns).push_back(r.host_ns_per_get);
+        (on ? on_dev : off_dev) = r.device_ns;
+      }
+    }
+    const Quartiles off = quartiles_of(off_ns);
+    const Quartiles on = quartiles_of(on_ns);
+    std::printf("trace_sample_every=%u\n", sample_every);
+    std::printf("  metrics off: host ns/get median %6.0f [q1 %6.0f, q3 %6.0f]\n",
+                off.median, off.q1, off.q3);
+    std::printf("  metrics on:  host ns/get median %6.0f [q1 %6.0f, q3 %6.0f]"
+                "  delta of medians %+.1f%% (informational)\n",
+                on.median, on.q1, on.q3,
+                off.median > 0 ? (on.median - off.median) / off.median * 100
+                               : 0.0);
+    const double device_delta =
+        off_dev > 0 ? (static_cast<double>(on_dev) - static_cast<double>(off_dev)) /
+                          static_cast<double>(off_dev)
+                    : 0.0;
+    std::printf("  device clock: off %.3f ms, on %.3f ms, delta %+.2f%%"
+                " (budget < 5%%)\n", static_cast<double>(off_dev) / 1e6,
+                static_cast<double>(on_dev) / 1e6, device_delta * 100);
+    if (device_delta >= 0.05) {
+      std::printf("FAIL: obs layer costs simulated time — it must not\n");
+      rc = 1;
+    }
   }
-  std::printf("PASS\n");
-  return 0;
+  if (rc == 0) std::printf("PASS\n");
+  return rc;
 }
 
 // -- Probe length --------------------------------------------------------------
@@ -377,6 +414,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   probe_length_report();
   const int ring_rc = async_ring_throughput();
-  const int guard_rc = metrics_overhead_guard();
+  const int guard_rc = metrics_overhead_report();
   return ring_rc != 0 ? ring_rc : guard_rc;
 }

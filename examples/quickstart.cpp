@@ -61,8 +61,7 @@ int main() {
               static_cast<long long>(snap.gauge("device.key_count")),
               static_cast<long long>(snap.gauge("device.live_bytes")),
               static_cast<double>(snap.gauge("clock.now_ns")) / 1e6);
-  std::printf("index:  %lld records, capacity %lld, dir DRAM %lld B\n",
-              static_cast<long long>(snap.gauge("index.size")),
+  std::printf("index:  capacity %lld records, dir DRAM %lld B\n",
               static_cast<long long>(snap.gauge("index.capacity")),
               static_cast<long long>(snap.gauge("index.dram_bytes")));
   return 0;

@@ -7,8 +7,10 @@
 // per backend. The interface is intentionally small: the SNIA-style verb
 // set (including the snapshot / streaming-iterator handles), the async
 // submission queue, and the durability / introspection hooks the facade
-// exposes. Anything richer (value-carrying iterators, GC internals,
-// per-shard access) stays on the concrete classes.
+// exposes. Introspection is one read-out, metrics_snapshot(): operation
+// counters, stage timers and restart figures come back in one
+// MetricsSnapshot. Anything richer (value-carrying iterators, GC
+// internals, per-shard access) stays on the concrete classes.
 //
 // Asynchronous commands have one shape end to end: a `Command` goes in
 // through submit(), and its `TaggedCompletion` comes back through the
@@ -26,10 +28,6 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
-
-namespace rhik::kvssd {
-struct DeviceStats;
-}
 
 namespace rhik::api {
 
@@ -142,9 +140,8 @@ class IKvsBackend {
   virtual Status checkpoint() = 0;
 
   // -- Introspection ---------------------------------------------------------
-  /// Whole-backend operation counters (shard-merged for an array).
-  virtual kvssd::DeviceStats stats_snapshot() = 0;
-  /// One coherent metrics view (shard-merged for an array; implies a
+  /// The one whole-backend read-out: every counter, gauge and timer in
+  /// one coherent snapshot (shard-merged for an array; implies a
   /// cross-shard barrier there).
   virtual obs::MetricsSnapshot metrics_snapshot() = 0;
 };

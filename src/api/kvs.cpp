@@ -252,7 +252,7 @@ KvsResult KvsDevice::checkpoint() {
   return from_status(s);
 }
 
-KvsResult KvsDevice::recover(kvssd::RecoveryStats* stats_out) {
+KvsResult KvsDevice::recover() {
   // recover() replaces the backend object wholesale, so this is the one
   // member that touches dev_/array_ directly rather than the seam.
   ring_.clear();  // pending completions died with the old backend
@@ -263,7 +263,7 @@ KvsResult KvsDevice::recover(kvssd::RecoveryStats* stats_out) {
     auto nands = array_->release_nands();
     array_.reset();
     backend_ = nullptr;
-    auto rebuilt = shard::ShardedKvssd::recover(sc, std::move(nands), stats_out);
+    auto rebuilt = shard::ShardedKvssd::recover(sc, std::move(nands));
     if (!rebuilt) return from_status(rebuilt.status());
     array_ = std::move(*rebuilt);
     backend_ = array_.get();
@@ -271,7 +271,7 @@ KvsResult KvsDevice::recover(kvssd::RecoveryStats* stats_out) {
     auto nand = dev_->release_nand();
     dev_.reset();
     backend_ = nullptr;
-    auto rebuilt = kvssd::KvssdDevice::recover(cfg_, std::move(nand), stats_out);
+    auto rebuilt = kvssd::KvssdDevice::recover(cfg_, std::move(nand));
     if (!rebuilt) return from_status(rebuilt.status());
     dev_ = std::move(*rebuilt);
     backend_ = dev_.get();

@@ -6,7 +6,8 @@
 // Internally every verb goes through one `IKvsBackend` call path
 // (backend.hpp), whether the device was opened as a single emulated
 // KVSSD or as a sharded multi-device array — the facade itself never
-// branches per backend.
+// branches per backend. Its one read-out is metrics_snapshot(); a
+// restart's figures land there too, as `recovery.*`.
 #pragma once
 
 #include <atomic>
@@ -213,20 +214,17 @@ class KvsDevice {
   KvsResult checkpoint();
   /// Simulated power cycle + restart: tears the device (or every shard)
   /// down abruptly, then rebuilds it from flash — the checkpoint fast
-  /// path when one is durable, the full-device scan otherwise. Fills
-  /// `stats_out` (merged across shards) when non-null.
-  KvsResult recover(kvssd::RecoveryStats* stats_out = nullptr);
+  /// path when one is durable, the full-device scan otherwise. The
+  /// restart's figures are `recovery.*` in metrics_snapshot().
+  KvsResult recover();
 
   /// True when opened with num_shards > 1.
   [[nodiscard]] bool sharded() const noexcept { return array_ != nullptr; }
 
   // -- Introspection (single call path, sharded or not) ------------------------
-  /// Whole-device operation counters (shard-merged for an array).
-  [[nodiscard]] kvssd::DeviceStats stats_snapshot() {
-    return backend_->stats_snapshot();
-  }
-  /// Unified metrics view, sharded or not: the single device's snapshot,
+  /// The one metrics view, sharded or not: the single device's snapshot,
   /// or the shard-merged array snapshot (implies a cross-shard barrier).
+  /// Operation counters are `device.*`, the last restart's `recovery.*`.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() {
     return backend_->metrics_snapshot();
   }

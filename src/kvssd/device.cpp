@@ -77,12 +77,7 @@ KvssdDevice::KvssdDevice(DeviceConfig cfg, std::unique_ptr<flash::NandDevice> na
     ckpt_->set_index_kind(static_cast<std::uint32_t>(cfg_.index_kind));
     ckpt_->set_epoch_source(&snaps_->epochs);
   }
-  if (cfg_.obs.metrics) {
-    put_timers_ = make_stage_timers("put");
-    get_timers_ = make_stage_timers("get");
-    del_timers_ = make_stage_timers("del");
-    next_dump_ns_ = cfg_.obs.dump_period_ns;
-  }
+  if (cfg_.obs.metrics) next_dump_ns_ = cfg_.obs.dump_period_ns;
 }
 
 KvssdDevice::~KvssdDevice() {
@@ -781,8 +776,7 @@ Status KvssdDevice::put(ByteSpan key, ByteSpan value) {
   const bool traced = obs_begin(tr, obs::OpKind::kPut, t0, /*enqueue_ns=*/t0);
   begin_mutation_batch();
   const Status s = put_locked(key, value);
-  stats_.put_latency_ns.record(clock_.now() - t0);
-  if (traced) obs_finish(tr, s, put_timers_);
+  if (traced) obs_finish(tr, s);
   if (ckpt_) ckpt_->tick();
   gc_tick();
   return s;
@@ -794,8 +788,7 @@ Status KvssdDevice::get(ByteSpan key, Bytes* value_out) {
   obs::OpTrace tr;
   const bool traced = obs_begin(tr, obs::OpKind::kGet, t0, /*enqueue_ns=*/t0);
   const Status s = get_locked(key, value_out);
-  stats_.get_latency_ns.record(clock_.now() - t0);
-  if (traced) obs_finish(tr, s, get_timers_);
+  if (traced) obs_finish(tr, s);
   return s;
 }
 
@@ -806,7 +799,7 @@ Status KvssdDevice::del(ByteSpan key) {
   const bool traced = obs_begin(tr, obs::OpKind::kDel, t0, /*enqueue_ns=*/t0);
   begin_mutation_batch();
   const Status s = del_locked(key);
-  if (traced) obs_finish(tr, s, del_timers_);
+  if (traced) obs_finish(tr, s);
   if (ckpt_) ckpt_->tick();
   gc_tick();
   return s;
@@ -1005,20 +998,18 @@ std::size_t KvssdDevice::drain() {
         case api::Command::Op::kPut:
           traced = obs_begin(tr, obs::OpKind::kPut, t0, ops[i].enqueue_ns);
           s = put_locked(cmd.key, cmd.value);
-          stats_.put_latency_ns.record(clock_.now() - t0);
-          if (traced) obs_finish(tr, s, put_timers_);
+          if (traced) obs_finish(tr, s);
           break;
         case api::Command::Op::kGet:
           value.clear();
           traced = obs_begin(tr, obs::OpKind::kGet, t0, ops[i].enqueue_ns);
           s = get_locked(cmd.key, &value);
-          stats_.get_latency_ns.record(clock_.now() - t0);
-          if (traced) obs_finish(tr, s, get_timers_);
+          if (traced) obs_finish(tr, s);
           break;
         case api::Command::Op::kDel:
           traced = obs_begin(tr, obs::OpKind::kDel, t0, ops[i].enqueue_ns);
           s = del_locked(cmd.key);
-          if (traced) obs_finish(tr, s, del_timers_);
+          if (traced) obs_finish(tr, s);
           break;
       }
       if (sink_) {
@@ -1054,22 +1045,10 @@ Status KvssdDevice::flush() {
 
 // -- Observability -------------------------------------------------------------
 
-KvssdDevice::StageTimers KvssdDevice::make_stage_timers(const char* op) {
-  const std::string base = std::string("op.") + op;
-  StageTimers t;
-  t.total = &metrics_.timer(base + ".total_ns");
-  t.queue = &metrics_.timer(base + ".queue_ns");
-  t.index = &metrics_.timer(base + ".index_ns");
-  t.flash = &metrics_.timer(base + ".flash_ns");
-  t.gc = &metrics_.timer(base + ".gc_ns");
-  t.flash_reads = &metrics_.timer(base + ".flash_reads");
-  t.index_reads = &metrics_.timer(base + ".index_flash_reads");
-  return t;
-}
-
 bool KvssdDevice::obs_begin(obs::OpTrace& tr, obs::OpKind kind,
                             SimTime exec_start, SimTime enqueue_ns) {
   if (!cfg_.obs.metrics) return false;
+  assert(kind != obs::OpKind::kExist);  // no stage timers for exist
   tr.seq = op_seq_++;
   tr.kind = kind;
   tr.start_ns = exec_start;
@@ -1080,8 +1059,7 @@ bool KvssdDevice::obs_begin(obs::OpTrace& tr, obs::OpKind kind,
   return true;
 }
 
-void KvssdDevice::obs_finish(obs::OpTrace& tr, Status s,
-                             const StageTimers& timers) {
+void KvssdDevice::obs_finish(obs::OpTrace& tr, Status s) {
   active_trace_ = nullptr;
   tr.status = s;
   tr.total_ns = clock_.now() - tr.start_ns;
@@ -1089,13 +1067,14 @@ void KvssdDevice::obs_finish(obs::OpTrace& tr, Status s,
   tr.index_flash_reads =
       index_->op_stats().flash_reads - tr.index_reads_at_start;
 
-  timers.total->record(tr.total_ns);
-  timers.queue->record(tr.queue_ns);
-  timers.index->record(tr.stage(obs::Stage::kIndex));
-  timers.flash->record(tr.stage(obs::Stage::kFlash));
-  timers.gc->record(tr.stage(obs::Stage::kGc));
-  timers.flash_reads->record(tr.flash_reads);
-  timers.index_reads->record(tr.index_flash_reads);
+  StageTimers& t = stage_timers_[static_cast<std::size_t>(tr.kind)];
+  t.total_ns.record(tr.total_ns);
+  t.queue_ns.record(tr.queue_ns);
+  t.index_ns.record(tr.stage(obs::Stage::kIndex));
+  t.flash_ns.record(tr.stage(obs::Stage::kFlash));
+  t.gc_ns.record(tr.stage(obs::Stage::kGc));
+  t.flash_reads.record(tr.flash_reads);
+  t.index_flash_reads.record(tr.index_flash_reads);
 
   if (cfg_.obs.trace_sample_every != 0 &&
       tr.seq % cfg_.obs.trace_sample_every == 0) {
@@ -1117,7 +1096,20 @@ void KvssdDevice::set_metrics_dump(MetricsDumpFn fn) {
 obs::MetricsSnapshot KvssdDevice::metrics_snapshot() const {
   obs::MetricsSnapshot snap;
   snap.captured_at_ns = clock_.now();
-  metrics_.snapshot_into(snap);
+  if (cfg_.obs.metrics) {
+    for (const obs::OpKind kind :
+         {obs::OpKind::kPut, obs::OpKind::kGet, obs::OpKind::kDel}) {
+      const StageTimers& t = stage_timers_[static_cast<std::size_t>(kind)];
+      const std::string op = std::string("op.") + obs::to_string(kind) + ".";
+      snap.add_timer(op + "total_ns", t.total_ns);
+      snap.add_timer(op + "queue_ns", t.queue_ns);
+      snap.add_timer(op + "index_ns", t.index_ns);
+      snap.add_timer(op + "flash_ns", t.flash_ns);
+      snap.add_timer(op + "gc_ns", t.gc_ns);
+      snap.add_timer(op + "flash_reads", t.flash_reads);
+      snap.add_timer(op + "index_flash_reads", t.index_flash_reads);
+    }
+  }
   stats_.publish(snap);
   nand_->stats().publish(snap);
   gc_->stats().publish(snap);
@@ -1169,7 +1161,6 @@ obs::MetricsSnapshot KvssdDevice::metrics_snapshot() const {
   snap.set_gauge("retainer.versions",
                  static_cast<std::int64_t>(retainer_->size()));
   snap.set_gauge("device.key_count", static_cast<std::int64_t>(index_->size()));
-  snap.set_gauge("index.size", static_cast<std::int64_t>(index_->size()));
   snap.set_gauge("index.capacity", static_cast<std::int64_t>(index_->capacity()));
   snap.set_gauge("index.dram_bytes",
                  static_cast<std::int64_t>(index_->dram_bytes()));

@@ -13,6 +13,7 @@
 // is how the emulator reproduces the sync/async throughput gap of Fig. 6.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -52,26 +53,6 @@ struct DeviceStats {
   std::uint64_t collision_rejects = 0;  ///< index collision aborts (§IV-A1)
   std::uint64_t device_full = 0;
   std::uint64_t gc_invocations = 0;
-  Histogram put_latency_ns;
-  Histogram get_latency_ns;
-
-  /// Accumulates another device's stats (used by the sharded front-end
-  /// to report whole-array figures).
-  void merge_from(const DeviceStats& o) {
-    puts += o.puts;
-    gets += o.gets;
-    deletes += o.deletes;
-    exists += o.exists;
-    iterates += o.iterates;
-    bytes_put += o.bytes_put;
-    bytes_got += o.bytes_got;
-    not_found += o.not_found;
-    collision_rejects += o.collision_rejects;
-    device_full += o.device_full;
-    gc_invocations += o.gc_invocations;
-    put_latency_ns.merge(o.put_latency_ns);
-    get_latency_ns.merge(o.get_latency_ns);
-  }
 
   /// Registers these counters into a metrics snapshot (`device.*`).
   void publish(obs::MetricsSnapshot& snap) const {
@@ -86,8 +67,6 @@ struct DeviceStats {
     snap.add_counter("device.collision_rejects", collision_rejects);
     snap.add_counter("device.device_full", device_full);
     snap.add_counter("device.gc_invocations", gc_invocations);
-    snap.add_timer("device.put_latency_ns", put_latency_ns);
-    snap.add_timer("device.get_latency_ns", get_latency_ns);
   }
 };
 
@@ -186,9 +165,6 @@ class KvssdDevice : public api::IKvsBackend {
   Status checkpoint_now();
   Status checkpoint() override { return checkpoint_now(); }
 
-  /// Copy of the operation counters (api::IKvsBackend facade).
-  DeviceStats stats_snapshot() override { return stats_; }
-
   /// The checkpoint manager, or nullptr when checkpointing is disabled.
   [[nodiscard]] CheckpointManager* checkpoint_manager() noexcept {
     return ckpt_.get();
@@ -209,21 +185,18 @@ class KvssdDevice : public api::IKvsBackend {
   }
   [[nodiscard]] const DeviceConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const DeviceStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
   // -- Observability ---------------------------------------------------------------
-  /// One coherent snapshot across every layer of this device: the obs
-  /// registry (per-stage op timers, trace-ring counters) plus every
+  /// One coherent snapshot across every layer of this device: every
   /// component's stats — device, NAND, GC, data log, index, index cache,
   /// the fault injector when one is attached, the recovery scan when
-  /// this device was recovered — and the sim clock as max-merged gauges.
+  /// this device was recovered — the sim clock as max-merged gauges and,
+  /// while ObsConfig::metrics is on, the per-op stage timers
+  /// (`op.<verb>.<stage>`).
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
   obs::MetricsSnapshot metrics_snapshot() override {
     return static_cast<const KvssdDevice&>(*this).metrics_snapshot();
   }
-  /// The device's metric registry. Callers may register further metrics;
-  /// they ride along in metrics_snapshot().
-  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   /// Recent sampled per-op traces (ObsConfig::trace_sample_every).
   [[nodiscard]] const obs::TraceRing& trace_ring() const noexcept {
     return trace_ring_;
@@ -297,25 +270,25 @@ class KvssdDevice : public api::IKvsBackend {
                                  RecoveryStats& stats);
 
   // -- Observability internals ------------------------------------------------
-  /// Pre-resolved registry timers for one op kind (lookup once, record
-  /// per op without touching the registry mutex).
+  /// One verb's stage distributions, exported as `op.<verb>.<stage>`.
+  /// Plain histograms: only the device's owning thread records or reads
+  /// them, like every other device counter.
   struct StageTimers {
-    obs::Timer* total = nullptr;
-    obs::Timer* queue = nullptr;
-    obs::Timer* index = nullptr;
-    obs::Timer* flash = nullptr;
-    obs::Timer* gc = nullptr;
-    obs::Timer* flash_reads = nullptr;
-    obs::Timer* index_reads = nullptr;
+    Histogram total_ns;
+    Histogram queue_ns;
+    Histogram index_ns;
+    Histogram flash_ns;
+    Histogram gc_ns;
+    Histogram flash_reads;
+    Histogram index_flash_reads;
   };
-  StageTimers make_stage_timers(const char* op);
   /// Arms `tr` as the active trace (captures read-amp baselines).
   /// Returns false — and arms nothing — when obs metrics are off.
   bool obs_begin(obs::OpTrace& tr, obs::OpKind kind, SimTime exec_start,
                  SimTime enqueue_ns);
-  /// Completes the active trace: records the stage timers, samples the
-  /// ring, and fires the periodic dump hook when due.
-  void obs_finish(obs::OpTrace& tr, Status s, const StageTimers& timers);
+  /// Completes the active trace: records its verb's stage timers,
+  /// samples the ring, and fires the periodic dump hook when due.
+  void obs_finish(obs::OpTrace& tr, Status s);
 
   DeviceConfig cfg_;
   SimClock clock_;
@@ -346,9 +319,9 @@ class KvssdDevice : public api::IKvsBackend {
   std::uint64_t live_bytes_ = 0;
   DeviceStats stats_;
 
-  obs::MetricsRegistry metrics_;
   obs::TraceRing trace_ring_;
-  StageTimers put_timers_, get_timers_, del_timers_;
+  /// Indexed by obs::OpKind; only put, get and del are traced.
+  std::array<StageTimers, 3> stage_timers_;
   obs::OpTrace* active_trace_ = nullptr;  ///< stage scopes write here
   std::uint64_t op_seq_ = 0;
   MetricsDumpFn dump_fn_;

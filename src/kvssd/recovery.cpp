@@ -26,27 +26,6 @@ bool tag_sane(const ftl::SpareTag& tag) noexcept {
 
 }  // namespace
 
-void RecoveryStats::merge_from(const RecoveryStats& other) noexcept {
-  blocks_adopted += other.blocks_adopted;
-  data_pages_scanned += other.data_pages_scanned;
-  pairs_seen += other.pairs_seen;
-  tombstones_seen += other.tombstones_seen;
-  keys_recovered += other.keys_recovered;
-  live_bytes += other.live_bytes;
-  max_seq = std::max(max_seq, other.max_seq);
-  max_epoch = std::max(max_epoch, other.max_epoch);
-  torn_pages_dropped += other.torn_pages_dropped;
-  incomplete_extents_dropped += other.incomplete_extents_dropped;
-  wear_blocks_restored += other.wear_blocks_restored;
-  dead_blocks_reclaimed += other.dead_blocks_reclaimed;
-  pages_read += other.pages_read;
-  checkpoint_restored += other.checkpoint_restored;
-  full_scan_fallback += other.full_scan_fallback;
-  journal_pages_replayed += other.journal_pages_replayed;
-  journal_records_replayed += other.journal_records_replayed;
-  checkpoint_version = std::max(checkpoint_version, other.checkpoint_version);
-}
-
 Result<RecoveryStats> recover_from_flash(flash::NandDevice& nand,
                                          ftl::PageAllocator& alloc,
                                          ftl::FlashKvStore& store,

@@ -84,10 +84,9 @@ struct RecoveryStats {
   /// Version of the checkpoint restored (0 = none).
   std::uint64_t checkpoint_version = 0;
 
-  /// Accumulates another shard's stats (max_seq takes the max).
-  void merge_from(const RecoveryStats& other) noexcept;
-
   /// Registers these counters into a metrics snapshot (`recovery.*`).
+  /// Across shards they merge as MetricsSnapshot merges: counters sum,
+  /// the sequence/epoch/version high-waters max.
   void publish(obs::MetricsSnapshot& snap) const {
     snap.add_counter("recovery.blocks_adopted", blocks_adopted);
     snap.add_counter("recovery.data_pages_scanned", data_pages_scanned);

@@ -30,13 +30,6 @@ Histogram Timer::snapshot() const {
                                  max_.load(std::memory_order_relaxed));
 }
 
-void Timer::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 // -- MetricsRegistry -----------------------------------------------------------
 
 Counter& MetricsRegistry::counter(std::string_view name) {
@@ -79,13 +72,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snapshot_into(snap);
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard lk(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, t] : timers_) t->reset();
 }
 
 // -- MetricsSnapshot -----------------------------------------------------------
@@ -189,29 +175,6 @@ std::string MetricsSnapshot::to_json() const {
     out += h.to_json();
   }
   out += "}}";
-  return out;
-}
-
-std::string MetricsSnapshot::to_text() const {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "captured_at_ns %" PRIu64 "\n",
-                captured_at_ns);
-  out += buf;
-  for (const auto& [name, v] : counters) {
-    std::snprintf(buf, sizeof(buf), "%-36s %" PRIu64 "\n", name.c_str(), v);
-    out += buf;
-  }
-  for (const auto& [name, gv] : gauges) {
-    std::snprintf(buf, sizeof(buf), "%-36s %" PRId64 " (%s)\n", name.c_str(),
-                  gv.value, mode_name(gv.mode));
-    out += buf;
-  }
-  for (const auto& [name, h] : timers) {
-    std::snprintf(buf, sizeof(buf), "%-36s %s\n", name.c_str(),
-                  h.summary().c_str());
-    out += buf;
-  }
   return out;
 }
 

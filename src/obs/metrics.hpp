@@ -1,26 +1,25 @@
-// Unified metrics subsystem (observability tentpole).
+// Metrics subsystem: named counters, gauges and Histogram-backed
+// timers, and the one snapshot every exporter speaks.
 //
-// One registry of named counters, gauges and Histogram-backed timers
-// replaces the per-bench ad-hoc reporting over the repo's scattered
-// `*Stats` structs. Design constraints:
-//
-//  - Hot-path cheap. Counter increments are striped across cache-line-
-//    padded relaxed atomics (one stripe per thread, assigned round-robin
-//    on first use) — no locks, no contention between shard workers.
-//    Timer::record is a handful of relaxed atomic adds into the shared
-//    Histogram bucket layout.
-//  - Snapshot/merge, not live aggregation. A MetricsSnapshot is a plain
-//    value object: counters sum on merge, gauges merge by a per-gauge
-//    mode (sum, or max for sim-clock-style values), timers merge their
-//    histograms. ShardedKvssd reports one coherent array view by merging
-//    per-shard snapshots.
+//  - MetricsSnapshot is the single whole-backend read-out. It is a
+//    plain value object: counters sum on merge, gauges merge by a
+//    per-gauge mode (sum, or max for sim-clock-style values), timers
+//    merge their histograms. merge_from() is the only merge in the
+//    tree; ShardedKvssd reports one array view by merging per-shard
+//    snapshots with it.
+//  - Single-threaded owners keep plain fields. A device and its
+//    components (DeviceStats, NandStats, IndexOpStats, the per-op stage
+//    histograms, ...) are touched only by the thread that owns the
+//    device, so they count into plain members and publish them into a
+//    snapshot at read-out time (see each header's `publish()`).
+//  - MetricsRegistry is for counters that threads really share (the
+//    serving layer, its tenants, the shard front end's `frontend.*`).
+//    Counter increments are striped across cache-line-padded relaxed
+//    atomics (one stripe per thread, assigned round-robin on first use)
+//    and Timer::record is a handful of relaxed atomic adds into the
+//    shared Histogram bucket layout, so writers never take a lock.
 //  - Exportable. to_json() / from_json() round-trip the snapshot
-//    (including histogram buckets, so percentiles survive); to_text()
-//    is the human dump the benches print.
-//
-// The existing component structs (NandStats, GcStats, IndexOpStats, …)
-// stay as the single-threaded owners of their counters; they publish
-// into a snapshot through small `publish()` members (see each header).
+//    (including histogram buckets, so percentiles survive).
 #pragma once
 
 #include <array>
@@ -66,10 +65,6 @@ class Counter {
     return total;
   }
 
-  void reset() noexcept {
-    for (Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-  }
-
  private:
   static constexpr std::size_t kStripes = 16;
   struct alignas(64) Slot {
@@ -97,7 +92,6 @@ class Gauge {
     return v_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] MergeMode mode() const noexcept { return mode_; }
-  void reset() noexcept { set(0); }
 
  private:
   std::atomic<std::int64_t> v_{0};
@@ -128,8 +122,6 @@ class Timer {
 
   /// Materializes the distribution recorded so far.
   [[nodiscard]] Histogram snapshot() const;
-
-  void reset() noexcept;
 
  private:
   static void atomic_floor(std::atomic<std::uint64_t>& a, std::uint64_t v) noexcept {
@@ -198,9 +190,6 @@ struct MetricsSnapshot {
   /// Parses a document produced by to_json(). Percentile fields are
   /// recomputed from the buckets, so to_json(from_json(s)) is stable.
   [[nodiscard]] static Result<MetricsSnapshot> from_json(std::string_view json);
-
-  /// Human-readable dump (sorted, one metric per line).
-  [[nodiscard]] std::string to_text() const;
 };
 
 /// Named-metric registry. Registration/lookup take a mutex (cold path);
@@ -222,9 +211,6 @@ class MetricsRegistry {
   /// with what is already there).
   void snapshot_into(MetricsSnapshot& out) const;
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Zeroes every registered metric (names stay registered).
-  void reset();
 
  private:
   mutable std::mutex mu_;

@@ -5,8 +5,9 @@
 // accumulate sim-clock time per stage (queue wait, index probing, data-
 // log flash, GC interference) and the device stamps flash-read deltas at
 // completion, giving per-op read amplification. Completed traces feed
-// the registry's stage timers (always) and a bounded ring of recent
-// traces (every `trace_sample_every`-th op) for postmortem inspection.
+// the device's plain stage histograms (always; exported as
+// `op.<verb>.<stage>`) and a bounded ring of recent traces (every
+// `trace_sample_every`-th op) for postmortem inspection.
 #pragma once
 
 #include <array>

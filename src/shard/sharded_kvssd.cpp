@@ -97,8 +97,7 @@ ShardedKvssd::~ShardedKvssd() {
 }
 
 Result<std::unique_ptr<ShardedKvssd>> ShardedKvssd::recover(
-    ShardedConfig cfg, std::vector<std::unique_ptr<flash::NandDevice>> nands,
-    kvssd::RecoveryStats* stats_out) {
+    ShardedConfig cfg, std::vector<std::unique_ptr<flash::NandDevice>> nands) {
   const std::uint32_t n = std::max<std::uint32_t>(1, cfg.num_shards);
   if (nands.size() != n) return Status::kInvalidArgument;
 
@@ -109,13 +108,9 @@ Result<std::unique_ptr<ShardedKvssd>> ShardedKvssd::recover(
 
   std::vector<std::unique_ptr<kvssd::KvssdDevice>> devices;
   devices.reserve(n);
-  kvssd::RecoveryStats merged;
   for (auto& nand : nands) {
-    kvssd::RecoveryStats shard_stats;
-    auto dev = kvssd::KvssdDevice::recover(cfg.device, std::move(nand),
-                                           &shard_stats);
+    auto dev = kvssd::KvssdDevice::recover(cfg.device, std::move(nand));
     if (!dev) return dev.status();
-    merged.merge_from(shard_stats);
     devices.push_back(std::move(*dev));
   }
 
@@ -126,7 +121,6 @@ Result<std::unique_ptr<ShardedKvssd>> ShardedKvssd::recover(
   for (auto& dev : devices) max_clock = std::max(max_clock, dev->clock().now());
   for (auto& dev : devices) dev->clock().advance(max_clock - dev->clock().now());
 
-  if (stats_out) *stats_out = merged;
   return std::unique_ptr<ShardedKvssd>(new ShardedKvssd(
       std::move(cfg), std::move(ctx), std::move(devices)));
 }
@@ -441,30 +435,12 @@ Status ShardedKvssd::checkpoint() {
   return call_all_status([](kvssd::KvssdDevice& d) { return d.checkpoint(); });
 }
 
-kvssd::DeviceStats ShardedKvssd::stats() {
-  std::vector<kvssd::DeviceStats> per_shard(shards_.size());
-  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
-    per_shard[sh] = d.stats();
-  });
-  kvssd::DeviceStats agg;
-  for (const kvssd::DeviceStats& s : per_shard) agg.merge_from(s);
-  return agg;
-}
-
 SimTime ShardedKvssd::sim_time() {
   std::vector<SimTime> now(shards_.size());
   call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
     now[sh] = d.clock().now();
   });
   return *std::max_element(now.begin(), now.end());
-}
-
-SimTime ShardedKvssd::total_stall() {
-  std::vector<SimTime> stall(shards_.size());
-  call_all([&](std::uint32_t sh, kvssd::KvssdDevice& d) {
-    stall[sh] = d.clock().total_stall();
-  });
-  return *std::max_element(stall.begin(), stall.end());
 }
 
 std::uint64_t ShardedKvssd::key_count() {

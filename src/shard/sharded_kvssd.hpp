@@ -14,10 +14,12 @@
 // Every synchronous verb, barrier and introspection call is a control
 // op, issued through call() (one shard) or call_all() (every shard):
 // it runs the shard device's own sync verb and observes every command
-// submitted to that shard before it. Whole-array figures: DeviceStats
-// are merged (histograms included) and simulated time is the MAX across
-// shard clocks — shards advance their clocks concurrently, so the
-// slowest shard defines array wall-clock.
+// submitted to that shard before it. Whole-array figures come from one
+// place, metrics_snapshot(): the per-shard snapshots merged by
+// MetricsSnapshot::merge_from (counters and histograms summed, clock
+// gauges maxed). Simulated time is the MAX across shard clocks —
+// shards advance their clocks concurrently, so the slowest shard
+// defines array wall-clock.
 #pragma once
 
 #include <atomic>
@@ -57,14 +59,12 @@ class ShardedKvssd : public api::IKvsBackend {
 
   /// Power-loss recovery of a whole array: one NAND per shard, in shard
   /// order (as returned by release_nands()). Each shard's device is
-  /// rebuilt via KvssdDevice::recover, per-shard RecoveryStats are
-  /// merged into `stats_out` (when non-null), and every shard clock is
-  /// re-seeded to the maximum adopted clock so post-recovery array time
-  /// stays the max across shards. `nands.size()` must equal
-  /// max(1, cfg.num_shards).
+  /// rebuilt via KvssdDevice::recover, and every shard clock is re-seeded
+  /// to the maximum adopted clock so post-recovery array time stays the
+  /// max across shards. The scans' figures are `recovery.*` in
+  /// metrics_snapshot(). `nands.size()` must equal max(1, cfg.num_shards).
   static Result<std::unique_ptr<ShardedKvssd>> recover(
-      ShardedConfig cfg, std::vector<std::unique_ptr<flash::NandDevice>> nands,
-      kvssd::RecoveryStats* stats_out = nullptr);
+      ShardedConfig cfg, std::vector<std::unique_ptr<flash::NandDevice>> nands);
 
   /// Power-off of the whole array: stops every worker thread (each
   /// drains its remaining queue first) and relinquishes each shard's
@@ -137,13 +137,8 @@ class ShardedKvssd : public api::IKvsBackend {
   Status checkpoint() override;
 
   // -- Whole-array introspection (each implies a cross-shard barrier) ---------
-  /// Merged DeviceStats (counters summed, histograms merged).
-  kvssd::DeviceStats stats();
-  kvssd::DeviceStats stats_snapshot() override { return stats(); }
   /// Array time: max across shard clocks (shards advance concurrently).
   SimTime sim_time();
-  /// Max stall time across shards.
-  SimTime total_stall();
   /// Live KV pairs across all shards.
   std::uint64_t key_count();
 

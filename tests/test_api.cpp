@@ -167,7 +167,7 @@ TEST(KvsApi, IntrospectionWithoutRawDevice) {
   const auto snap = dev.metrics_snapshot();
   EXPECT_EQ(snap.gauge("device.key_count"), 1);
   EXPECT_GT(snap.gauge("clock.now_ns"), 0);
-  EXPECT_EQ(dev.stats_snapshot().puts, 1u);
+  EXPECT_EQ(snap.counter("device.puts"), 1u);
 }
 
 TEST(KvsApi, ShardedIterateMergesShards) {
@@ -259,10 +259,10 @@ TEST(KvsApi, CheckpointRestartRoundTrip) {
               KvsResult::KVS_SUCCESS);
   }
   ASSERT_EQ(dev.checkpoint(), KvsResult::KVS_SUCCESS);
-  kvssd::RecoveryStats stats;
-  ASSERT_EQ(dev.recover(&stats), KvsResult::KVS_SUCCESS);
-  EXPECT_EQ(stats.checkpoint_restored, 1u);
-  EXPECT_EQ(stats.full_scan_fallback, 0u);
+  ASSERT_EQ(dev.recover(), KvsResult::KVS_SUCCESS);
+  const auto snap = dev.metrics_snapshot();
+  EXPECT_EQ(snap.counter("recovery.checkpoint_restored"), 1u);
+  EXPECT_EQ(snap.counter("recovery.full_scan_fallback"), 0u);
   for (int i = 0; i < 200; ++i) {
     Bytes value;
     ASSERT_EQ(dev.retrieve("k" + std::to_string(i), &value),
@@ -283,10 +283,11 @@ TEST(KvsApi, CheckpointRestartRoundTripSharded) {
               KvsResult::KVS_SUCCESS);
   }
   ASSERT_EQ(dev.checkpoint(), KvsResult::KVS_SUCCESS);
-  kvssd::RecoveryStats stats;
-  ASSERT_EQ(dev.recover(&stats), KvsResult::KVS_SUCCESS);
-  EXPECT_EQ(stats.checkpoint_restored, 2u);  // merged across both shards
-  EXPECT_EQ(stats.full_scan_fallback, 0u);
+  ASSERT_EQ(dev.recover(), KvsResult::KVS_SUCCESS);
+  const auto snap = dev.metrics_snapshot();
+  // Merged across both shards.
+  EXPECT_EQ(snap.counter("recovery.checkpoint_restored"), 2u);
+  EXPECT_EQ(snap.counter("recovery.full_scan_fallback"), 0u);
   for (int i = 0; i < 200; ++i) {
     Bytes value;
     ASSERT_EQ(dev.retrieve("k" + std::to_string(i), &value),
@@ -495,9 +496,10 @@ TEST(KvsApi, RecoverWithoutCheckpointFallsBackToScan) {
   KvsDevice dev(small_opts());
   ASSERT_EQ(dev.store("a", "1"), KvsResult::KVS_SUCCESS);
   ASSERT_EQ(dev.flush(), KvsResult::KVS_SUCCESS);
-  kvssd::RecoveryStats stats;
-  ASSERT_EQ(dev.recover(&stats), KvsResult::KVS_SUCCESS);
-  EXPECT_EQ(stats.checkpoint_restored, 0u);
+  ASSERT_EQ(dev.recover(), KvsResult::KVS_SUCCESS);
+  const auto snap = dev.metrics_snapshot();
+  EXPECT_EQ(snap.counter("recovery.full_scan_fallback"), 1u);
+  EXPECT_EQ(snap.counter("recovery.checkpoint_restored"), 0u);
   Bytes value;
   EXPECT_EQ(dev.retrieve("a", &value), KvsResult::KVS_SUCCESS);
   EXPECT_EQ(rhik::to_string(value), "1");

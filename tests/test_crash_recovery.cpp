@@ -504,9 +504,7 @@ TEST(ShardedRecovery, FlushedStateSurvivesAcrossAllShards) {
   ASSERT_EQ(nands.size(), 4u);
   arr.reset();
 
-  RecoveryStats stats;
-  auto recovered =
-      shard::ShardedKvssd::recover(cfg, std::move(nands), &stats);
+  auto recovered = shard::ShardedKvssd::recover(cfg, std::move(nands));
   ASSERT_TRUE(recovered.has_value());
   arr = std::move(recovered).value();
 
@@ -530,10 +528,12 @@ TEST(ShardedRecovery, FlushedStateSurvivesAcrossAllShards) {
     }
   }
 
-  // Merged stats cover every shard's scan.
-  EXPECT_GE(stats.keys_recovered, 200u);
-  EXPECT_GE(stats.tombstones_seen, 100u);
-  EXPECT_GT(stats.blocks_adopted, 4u);  // more than one block per shard
+  // The merged snapshot covers every shard's scan.
+  const obs::MetricsSnapshot snap = arr->metrics_snapshot();
+  EXPECT_GE(snap.counter("recovery.keys_recovered"), 200u);
+  EXPECT_GE(snap.counter("recovery.tombstones_seen"), 100u);
+  // More than one block per shard.
+  EXPECT_GT(snap.counter("recovery.blocks_adopted"), 4u);
 
   // The array stays fully operational.
   ASSERT_EQ(arr->put(key("post"), key("recovery")), Status::kOk);
@@ -612,8 +612,7 @@ TEST(ShardedRecovery, PowerCutOnOneShardRecoversArrayWide) {
 
   auto nands = arr->release_nands();
   arr.reset();
-  RecoveryStats stats;
-  auto recovered = shard::ShardedKvssd::recover(cfg, std::move(nands), &stats);
+  auto recovered = shard::ShardedKvssd::recover(cfg, std::move(nands));
   ASSERT_TRUE(recovered.has_value());
   arr = std::move(recovered).value();
 

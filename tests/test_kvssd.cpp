@@ -330,9 +330,14 @@ TEST(Kvssd, LatencyHistogramsPopulate) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_EQ(dev.get(key("h" + std::to_string(i)), &value), Status::kOk);
   }
-  EXPECT_EQ(dev.stats().put_latency_ns.count(), 50u);
-  EXPECT_EQ(dev.stats().get_latency_ns.count(), 50u);
-  EXPECT_GT(dev.stats().get_latency_ns.mean(), 0.0);
+  const obs::MetricsSnapshot snap = dev.metrics_snapshot();
+  const Histogram* put_ns = snap.timer("op.put.total_ns");
+  const Histogram* get_ns = snap.timer("op.get.total_ns");
+  ASSERT_NE(put_ns, nullptr);
+  ASSERT_NE(get_ns, nullptr);
+  EXPECT_EQ(put_ns->count(), 50u);
+  EXPECT_EQ(get_ns->count(), 50u);
+  EXPECT_GT(get_ns->mean(), 0.0);
 }
 
 TEST(Pm983Model, ShapesMatchThePaper) {

@@ -45,18 +45,6 @@ TEST(MetricsRegistry, KindsAreIndependentNamespaces) {
   EXPECT_EQ(snap.timer("dual")->count(), 1u);
 }
 
-TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("n");
-  c.inc(5);
-  reg.timer("t").record(4);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter("n", 999), 0u);  // still registered, now 0
-  EXPECT_EQ(snap.timer("t")->count(), 0u);
-}
-
 // -- Striped counter / atomic timer under threads -------------------------------
 
 TEST(ObsCounter, ExactUnderConcurrentIncrements) {

@@ -1,5 +1,5 @@
 // ShardedKvssd front-end: routing, sync/async verbs, cross-shard
-// drain/flush barriers, the control-op ordering contract, stats
+// drain/flush barriers, the control-op ordering contract, metrics
 // aggregation and single-shard parity with a raw device.
 #include <gtest/gtest.h>
 
@@ -120,7 +120,8 @@ TEST(Sharded, FlushBarrierCoversAllShards) {
   ASSERT_EQ(arr.flush(), Status::kOk);
   // flush() implies the drain barrier: every queued put completed on its
   // shard before the flush, so everything reads back immediately...
-  EXPECT_EQ(arr.stats().puts, static_cast<std::uint64_t>(kOps));
+  EXPECT_EQ(arr.metrics_snapshot().counter("device.puts"),
+            static_cast<std::uint64_t>(kOps));
   EXPECT_EQ(arr.key_count(), static_cast<std::uint64_t>(kOps));
   Bytes v;
   for (int i = 0; i < kOps; ++i) {
@@ -148,13 +149,17 @@ TEST(Sharded, StatsAggregationMergesCountersAndHistograms) {
   }
   EXPECT_EQ(arr.get(key("absent"), &v), Status::kNotFound);
 
-  const kvssd::DeviceStats agg = arr.stats();
-  EXPECT_EQ(agg.puts, static_cast<std::uint64_t>(kPuts));
-  EXPECT_EQ(agg.gets, static_cast<std::uint64_t>(kGets));
-  EXPECT_EQ(agg.not_found, 1u);
+  const obs::MetricsSnapshot agg = arr.metrics_snapshot();
+  EXPECT_EQ(agg.counter("device.puts"), static_cast<std::uint64_t>(kPuts));
+  EXPECT_EQ(agg.counter("device.gets"), static_cast<std::uint64_t>(kGets));
+  EXPECT_EQ(agg.counter("device.not_found"), 1u);
   // Histograms merge: one latency sample per put/get across the array.
-  EXPECT_EQ(agg.put_latency_ns.count(), static_cast<std::uint64_t>(kPuts));
-  EXPECT_EQ(agg.get_latency_ns.count(), static_cast<std::uint64_t>(kGets + 1));
+  ASSERT_NE(agg.timer("op.put.total_ns"), nullptr);
+  ASSERT_NE(agg.timer("op.get.total_ns"), nullptr);
+  EXPECT_EQ(agg.timer("op.put.total_ns")->count(),
+            static_cast<std::uint64_t>(kPuts));
+  EXPECT_EQ(agg.timer("op.get.total_ns")->count(),
+            static_cast<std::uint64_t>(kGets + 1));
 
   // Array time is the max across shard clocks (shards run concurrently).
   arr.drain();

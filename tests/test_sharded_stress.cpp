@@ -1,5 +1,5 @@
 // ThreadSanitizer-targeted stress: concurrent submitter threads driving
-// a ShardedKvssd while another thread issues drain/stats barriers.
+// a ShardedKvssd while another thread issues drain/metrics barriers.
 // Build with -DRHIK_SANITIZE=thread and run via `ctest -L stress` to get
 // the TSan tier; in a plain build it doubles as a race smoke test.
 #include <gtest/gtest.h>
@@ -63,12 +63,12 @@ TEST(ShardedStress, ConcurrentSubmittersAndDrainBarriers) {
     });
   }
 
-  // Drain/stats barriers race with the submitters on purpose.
+  // Drain/metrics barriers race with the submitters on purpose.
   std::thread drainer([&] {
     while (submitting.load(std::memory_order_acquire)) {
       arr.drain();
-      const auto agg = arr.stats();
-      EXPECT_LE(agg.puts,
+      const obs::MetricsSnapshot agg = arr.metrics_snapshot();
+      EXPECT_LE(agg.counter("device.puts"),
                 static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
       std::this_thread::yield();
     }
