@@ -101,7 +101,7 @@ int run_halt_free_guard() {
   ftl::FlashKvStore store(&nand, &alloc);
 
   index::RhikConfig cfg;
-  cfg.incremental_resize = true;  // halt-free path, regardless of env
+  cfg.incremental_resize = true;  // the halt-free path under guard
   cfg.incremental_batch = 1;      // one bucket per quantum: long windows
   // ~800 k keys need ~16 MiB of record pages; an 8 MiB cache keeps half
   // the working set on flash so the latency tail is real.

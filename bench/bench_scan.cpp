@@ -84,7 +84,7 @@ void scan_throughput(std::uint64_t num_keys, bool* all_pass) {
     const SimTime t0 = dev.clock().now();
     auto it = dev.kvs_open_iterator(kPrefix, nullptr);
     if (!it) {
-      std::printf("  open_iterator failed\n");
+      std::printf("  kvs_open_iterator failed\n");
       *all_pass = false;
       return;
     }
@@ -96,7 +96,7 @@ void scan_throughput(std::uint64_t num_keys, bool* all_pass) {
       scanned += keys.size();
       if (s == Status::kNotFound) break;
       if (!ok(s)) {
-        std::printf("  iterator_next: %.*s\n",
+        std::printf("  kvs_iterator_next: %.*s\n",
                     static_cast<int>(to_string(s).size()), to_string(s).data());
         *all_pass = false;
         return;

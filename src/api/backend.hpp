@@ -9,8 +9,9 @@
 // submission queue, and the durability / introspection hooks the facade
 // exposes. Introspection is one read-out, metrics_snapshot(): operation
 // counters, stage timers and restart figures come back in one
-// MetricsSnapshot. Anything richer (value-carrying iterators, GC
-// internals, per-shard access) stays on the concrete classes.
+// MetricsSnapshot. The streaming key handle is the one iterator at every
+// layer; values come through read_at on its snapshot. Anything richer
+// (GC internals, per-shard access) stays on the concrete classes.
 //
 // Asynchronous commands have one shape end to end: a `Command` goes in
 // through submit(), and its `TaggedCompletion` comes back through the
@@ -107,7 +108,9 @@ class IKvsBackend {
                                                   const SnapshotHandle* snap) = 0;
   /// Appends up to `max_keys` further keys. kOk while keys remain;
   /// kNotFound once exhausted (the SNIA ITERATOR_END condition);
-  /// kSnapshotTooOld when the backing pin expired mid-scan.
+  /// kSnapshotTooOld when the backing pin expired mid-scan. A read error
+  /// (kIoError, kCorruption) ends the call with that error, never as a
+  /// clean end, and loses no key: a retry resumes where the scan stood.
   virtual Status kvs_iterator_next(std::uint64_t handle, std::size_t max_keys,
                                    std::vector<Bytes>* keys_out) = 0;
   /// Closes the handle (and releases an internally pinned snapshot).

@@ -47,8 +47,7 @@ const char* to_string(KvsResult r) noexcept {
   return "KVS_ERR_UNKNOWN";
 }
 
-KvsDevice::KvsDevice(const KvsDeviceOptions& opts)
-    : ring_(opts.completion_ring_capacity) {
+KvsDevice::KvsDevice(const KvsDeviceOptions& opts) {
   num_shards_ = std::max<std::uint32_t>(1, opts.num_shards);
   iterator_enabled_ = opts.enable_iterator;
   kvssd::DeviceConfig cfg;
@@ -59,15 +58,11 @@ KvsDevice::KvsDevice(const KvsDeviceOptions& opts)
   cfg.dram_cache_bytes = opts.dram_cache_bytes / num_shards_;
   cfg.prefix_signatures = opts.enable_iterator;
   cfg.checkpoint.enabled = opts.enable_checkpoints;
-  cfg.checkpoint.dirty_pages = opts.checkpoint_dirty_pages;
-  cfg.checkpoint.slot_blocks = opts.checkpoint_slot_blocks;
-  cfg.checkpoint.journal_blocks = opts.checkpoint_journal_blocks;
   cfg.snapshot_retention_bytes = opts.snapshot_retention_bytes;
   const std::uint64_t keys_hint = opts.anticipated_keys / num_shards_;
   if (opts.use_rhik) {
     cfg.index_kind = kvssd::IndexKind::kRhik;
     cfg.rhik.anticipated_keys = keys_hint;
-    cfg.rhik.incremental_resize = opts.incremental_resize;
   } else {
     cfg.index_kind = kvssd::IndexKind::kMlHash;
     if (keys_hint != 0) {

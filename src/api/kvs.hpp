@@ -69,10 +69,6 @@ struct KvsDeviceOptions {
   bool use_rhik = true;               ///< false: multi-level hash baseline
   std::uint64_t anticipated_keys = 0; ///< Eq. 2 initial sizing hint
   bool enable_iterator = false;       ///< §VI prefix-signature iteration
-  /// §VI real-time scaling: doublings migrate in bounded background
-  /// quanta (halt-free, the default) instead of stalling the queue.
-  /// Tracks the RHIK default (RHIK_STW_RESIZE=1 flips it back).
-  bool incremental_resize = index::default_incremental_resize();
   /// >1: sharded multi-device front-end — the keyspace is hash-
   /// partitioned across this many emulated devices, each with its own
   /// worker thread; capacity_bytes and dram_cache_bytes are split
@@ -83,18 +79,6 @@ struct KvsDeviceOptions {
   /// replays only the delta journal instead of scanning the whole
   /// device. Costs a small reserved flash tail per device/shard.
   bool enable_checkpoints = false;
-  /// Pages written since the last checkpoint before a new one starts.
-  std::uint32_t checkpoint_dirty_pages = 4096;
-  /// Blocks per checkpoint slot (two slots are reserved).
-  std::uint32_t checkpoint_slot_blocks = 1;
-  /// Blocks in the delta-journal ring.
-  std::uint32_t checkpoint_journal_blocks = 2;
-
-  /// Initial capacity of the async completion ring (rounded up to a
-  /// power of two). The ring grows on demand — completions are never
-  /// dropped — so this only sets the allocation-free steady state;
-  /// size it to the expected in-flight command count.
-  std::size_t completion_ring_capacity = 4096;
 
   /// Byte budget for superseded versions retained only because a
   /// snapshot pins them (DESIGN.md §13). When retention would exceed
@@ -159,7 +143,8 @@ class KvsDevice {
   /// not appended). KVS_SUCCESS with a non-empty batch while keys
   /// remain; KVS_ERR_KEY_NOT_EXIST once the iterator is exhausted;
   /// KVS_ERR_SNAPSHOT_TOO_OLD if the backing pin expired mid-scan (the
-  /// scan errors rather than silently mixing epochs).
+  /// scan errors rather than silently mixing epochs); KVS_ERR_SYS_IO on
+  /// a read error, after which a retry loses no key.
   KvsResult kvs_iterator_next(std::uint64_t iter, std::size_t max_keys,
                               std::vector<std::string>* keys_out);
   /// Closes the iterator and releases its internally-pinned snapshot

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(RHIK_SIMD_AVX2)
@@ -15,10 +14,9 @@ namespace rhik::hash {
 
 namespace {
 
-/// Process-wide runtime kill-switch: RHIK_NO_SIMD in the environment
-/// starts the process on the scalar probe; tests flip it per-case to
-/// compare both paths in one binary.
-std::atomic<bool> g_simd_enabled{std::getenv("RHIK_NO_SIMD") == nullptr};
+/// Process-wide runtime switch to the scalar probe; tests flip it
+/// per-case to compare both paths in one binary.
+std::atomic<bool> g_simd_enabled{true};
 
 #if defined(RHIK_SIMD_AVX2)
 

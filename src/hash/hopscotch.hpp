@@ -157,9 +157,8 @@ class HopscotchTable {
   /// Compile-time backend selected by the RHIK_SIMD CMake option:
   /// "scalar", "sse2" or "avx2".
   [[nodiscard]] static const char* simd_backend() noexcept;
-  /// Runtime kill-switch (process-wide). Defaults to enabled unless the
-  /// RHIK_NO_SIMD environment variable is set; tests flip it to run the
-  /// vectorised and scalar probes inside one binary.
+  /// Runtime switch (process-wide), enabled by default; tests flip it to
+  /// run the vectorised and scalar probes inside one binary.
   static void set_simd_enabled(bool on) noexcept;
   [[nodiscard]] static bool simd_enabled() noexcept;
 

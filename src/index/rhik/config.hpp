@@ -3,22 +3,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 
 #include "common/bytes.hpp"
 #include "common/sim_clock.hpp"
 
 namespace rhik::index {
-
-/// Default for RhikConfig::incremental_resize. Incremental (halt-free)
-/// migration is the production path; setting RHIK_STW_RESIZE=1 in the
-/// environment flips the *default* back to the legacy stop-the-world
-/// doubling so CI can keep the fallback green. Configs that set the flag
-/// explicitly are unaffected.
-inline bool default_incremental_resize() noexcept {
-  const char* stw = std::getenv("RHIK_STW_RESIZE");
-  return !(stw != nullptr && stw[0] == '1');
-}
 
 struct RhikConfig {
   /// kh — key signature size in bytes (Eq. 1). 8 by default; 16 models
@@ -42,9 +31,9 @@ struct RhikConfig {
   /// stay below the overflow bit, so values above 38 are clamped to 38.
   std::uint32_t max_dir_bits = 38;
   /// §VI extension: migrate incrementally instead of halting the queue.
-  /// On by default (halt-free resizing, DESIGN.md §11); RHIK_STW_RESIZE=1
-  /// restores the legacy stop-the-world default.
-  bool incremental_resize = default_incremental_resize();
+  /// On by default (halt-free resizing, DESIGN.md §11); false restores
+  /// the paper's stop-the-world doubling (Fig. 7).
+  bool incremental_resize = true;
   /// §VI "hyper-local scaling" extension: instead of rejecting a key on
   /// an uncorrectable local collision, give the affected bucket a
   /// private overflow record page. Overflowed buckets cost up to TWO

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <limits>
 #include <unordered_map>
 
 #include "ftl/layout.hpp"
@@ -812,27 +811,6 @@ Status KvssdDevice::exist(ByteSpan key) {
   return index_->exists(signature(key)) ? Status::kOk : Status::kNotFound;
 }
 
-Result<std::uint32_t> KvssdDevice::open_iterator(ByteSpan prefix,
-                                                 IteratorOptions opts) {
-  if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  charge_command(/*async=*/false);
-  stats_.iterates++;
-  return iter_mgr_->open(prefix, opts);
-}
-
-Status KvssdDevice::iterator_next(std::uint32_t handle, std::size_t max_entries,
-                                  std::vector<IteratorEntry>* out) {
-  if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  charge_command(/*async=*/false);
-  return iter_mgr_->next(handle, max_entries, out);
-}
-
-Status KvssdDevice::close_iterator(std::uint32_t handle) {
-  if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  charge_command(/*async=*/false);
-  return iter_mgr_->close(handle);
-}
-
 Result<api::SnapshotHandle> KvssdDevice::open_snapshot() {
   charge_command(/*async=*/false);
   const ftl::SnapshotRegistry::Pin pin = snaps_->registry.open();
@@ -911,44 +889,32 @@ Result<std::uint64_t> KvssdDevice::kvs_open_iterator(
   if (!cfg_.prefix_signatures) return Status::kUnsupported;
   charge_command(/*async=*/false);
   stats_.iterates++;
-  if (snap != nullptr && snap->epoch != 0) {
-    // Stale-handle guard (see read_at).
+  if (snap != nullptr) {
+    // Caller-owned pin, with the stale-handle guard of read_at.
     const auto epoch = snaps_->registry.epoch_of(snap->id);
     if (!epoch) return epoch.status();
-    if (*epoch != snap->epoch) return Status::kSnapshotTooOld;
+    if (snap->epoch != 0 && *epoch != snap->epoch) return Status::kSnapshotTooOld;
+    return iter_mgr_->open(prefix, {snap->id, *epoch}, /*owns_pin=*/false);
   }
-  const auto handle = snap != nullptr ? iter_mgr_->open_at(prefix, snap->id)
-                                      : iter_mgr_->open(prefix);
-  if (!handle) return handle.status();
-  return static_cast<std::uint64_t>(*handle);
+  // No snapshot given: pin one for the iterator's lifetime.
+  const ftl::SnapshotRegistry::Pin pin = snaps_->registry.open();
+  auto handle = iter_mgr_->open(prefix, pin, /*owns_pin=*/true);
+  if (!handle) (void)snaps_->registry.release(pin.id);
+  return handle;
 }
 
 Status KvssdDevice::kvs_iterator_next(std::uint64_t handle,
                                       std::size_t max_keys,
                                       std::vector<Bytes>* keys_out) {
   if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  if (keys_out == nullptr) return Status::kInvalidArgument;
-  if (handle > std::numeric_limits<std::uint32_t>::max()) {
-    return Status::kInvalidArgument;
-  }
   charge_command(/*async=*/false);
-  keys_out->clear();
-  std::vector<IteratorEntry> batch;
-  const Status s =
-      iter_mgr_->next(static_cast<std::uint32_t>(handle), max_keys, &batch);
-  if (!ok(s)) return s;
-  keys_out->reserve(batch.size());
-  for (IteratorEntry& e : batch) keys_out->push_back(std::move(e.key));
-  return Status::kOk;
+  return iter_mgr_->next(handle, max_keys, keys_out);
 }
 
 Status KvssdDevice::kvs_close_iterator(std::uint64_t handle) {
   if (!cfg_.prefix_signatures) return Status::kUnsupported;
-  if (handle > std::numeric_limits<std::uint32_t>::max()) {
-    return Status::kInvalidArgument;
-  }
   charge_command(/*async=*/false);
-  return iter_mgr_->close(static_cast<std::uint32_t>(handle));
+  return iter_mgr_->close(handle);
 }
 
 std::size_t KvssdDevice::drain() {

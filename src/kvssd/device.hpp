@@ -113,18 +113,10 @@ class KvssdDevice : public api::IKvsBackend {
   Status read_at(const api::SnapshotHandle& snap, ByteSpan key,
                  Bytes* value_out) override;
 
-  // -- Iterator command set (§II-A; key+value iteration is the §VI
-  // -- extension absent from Samsung KVSSD) ----------------------------------
-  /// Opens a device-level iterator. Pins its own snapshot internally, so
-  /// every iterator is consistent by default (DESIGN.md §13).
-  Result<std::uint32_t> open_iterator(ByteSpan prefix, IteratorOptions opts = {});
-  /// kOk with entries while any remain; kNotFound at iterator end;
-  /// kSnapshotTooOld if the backing pin was expired mid-scan.
-  Status iterator_next(std::uint32_t handle, std::size_t max_entries,
-                       std::vector<IteratorEntry>* out);
-  Status close_iterator(std::uint32_t handle);
-
-  // -- SNIA-style streaming key iterators (api::IKvsBackend) -----------------
+  // -- Iterator command set (§II-A; SNIA-style key handles) ------------------
+  /// The one iterator (DESIGN.md §13): it streams keys only. Without
+  /// `snap` the device pins a snapshot for the iterator's lifetime; with
+  /// one, a key's value is one read_at away on the same pin.
   Result<std::uint64_t> kvs_open_iterator(ByteSpan prefix,
                                           const api::SnapshotHandle* snap) override;
   Status kvs_iterator_next(std::uint64_t handle, std::size_t max_keys,

@@ -681,7 +681,8 @@ void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
   if (r != api::KvsResult::KVS_SUCCESS) {
     // KVS_ERR_KEY_NOT_EXIST = clean end-of-scan (cursor stays open for
     // an explicit close); KVS_ERR_SNAPSHOT_TOO_OLD = the pin fell out
-    // of retention mid-scan and the client must restart.
+    // of retention mid-scan and the client must restart; KVS_ERR_SYS_IO
+    // = a read error, and the cursor stays where it stood.
     respond_now(w, c, f, r);
     return;
   }

@@ -332,7 +332,7 @@ Status ShardedKvssd::kvs_iterator_next(std::uint64_t handle,
     call(it.shard, [&](kvssd::KvssdDevice& d) {
       if (!it.dev_open) {
         // Lazy per-shard open: one device handle lives at a time, bound
-        // to the iterator's pin (still valid or open_at fails with the
+        // to the iterator's pin (still valid, or the open fails with the
         // pin's error — kSnapshotTooOld once expired).
         const auto h = d.kvs_open_iterator(it.prefix, &it.snap);
         if (!h) {
@@ -353,7 +353,12 @@ Status ShardedKvssd::kvs_iterator_next(std::uint64_t handle,
       it.shard++;
       continue;
     }
-    if (!ok(st)) return st;
+    if (!ok(st)) {
+      // A failed device step consumed nothing, so keys already gathered
+      // from earlier shards go out now and the retry reports the error.
+      if (keys_out->empty()) return st;
+      break;
+    }
     for (Bytes& k : batch) keys_out->push_back(std::move(k));
     batch.clear();
   }

@@ -98,7 +98,9 @@ class ShardedKvssd : public api::IKvsBackend {
   /// (the caller's snapshot, or an internal pin taken as open_snapshot
   /// takes one when `snap` is null).
   /// Keys stream in per-shard candidate order, shard-major — a stable,
-  /// deterministic order, but not lexicographic across shards.
+  /// deterministic order, but not lexicographic across shards. A shard's
+  /// read error ends next() with that error once the keys gathered
+  /// before it are handed out; no key is skipped.
   Result<std::uint64_t> kvs_open_iterator(ByteSpan prefix,
                                           const api::SnapshotHandle* snap) override;
   Status kvs_iterator_next(std::uint64_t handle, std::size_t max_keys,

@@ -362,7 +362,7 @@ TEST(CrashRecovery, CutInsideIndexMigrationQuantumKeepsFloor) {
     cfg.checkpoint.journal_blocks = 2;
     cfg.checkpoint.dirty_pages = 48;
     cfg.checkpoint.pump_pages = 4;
-    cfg.rhik.incremental_resize = true;  // pin, regardless of RHIK_STW_RESIZE
+    cfg.rhik.incremental_resize = true;  // the halt-free path under test
     cfg.rhik.incremental_batch = 1;      // one bucket per quantum: wide window
     auto dev = std::make_unique<KvssdDevice>(cfg);
     std::map<std::string, std::string> ref;
@@ -432,7 +432,7 @@ TEST(CrashRecovery, FastRestoreReplaysAcrossResizeWithoutFullScan) {
   cfg.checkpoint.slot_blocks = 2;
   cfg.checkpoint.journal_blocks = 2;
   cfg.checkpoint.dirty_pages = 1u << 30;  // explicit checkpoints only
-  cfg.rhik.incremental_resize = true;  // pin, regardless of RHIK_STW_RESIZE
+  cfg.rhik.incremental_resize = true;  // the halt-free path under test
   cfg.rhik.incremental_batch = 1;
   auto dev = std::make_unique<KvssdDevice>(cfg);
   std::map<std::string, std::string> ref;

@@ -1,12 +1,13 @@
 // Seeded differential harness: random op traces executed against a
 // plain std::map reference model and the full device — for BOTH index
 // schemes (RHIK and the MLHash baseline), under uniform and zipf-skewed
-// key distributions, with forced GC quanta, synchronous collections,
-// flushes and clean device reopens (full-scan and fast-restore recovery
-// paths) interleaved into the trace. MVCC snapshots ride along as an
-// oracle: pins capture a full model copy at open time, and every
-// read_at must return exactly that view or kSnapshotTooOld — retention
-// expiry and pins dropped across a reopen must error, never tear.
+// key distributions, with RHIK doubling halt-free or stop-the-world, and
+// with forced GC quanta, synchronous collections, flushes and clean
+// device reopens (full-scan and fast-restore recovery paths) interleaved
+// into the trace. MVCC snapshots ride along as an oracle: pins capture a
+// full model copy at open time, and every read_at must return exactly
+// that view or kSnapshotTooOld — retention expiry and pins dropped
+// across a reopen must error, never tear.
 //
 // On a divergence the failing trace is shrunk by chunk removal to a
 // minimal reproducer, written to an artifact file, and the failure
@@ -78,6 +79,7 @@ struct DiffConfig {
   IndexKind index = IndexKind::kRhik;
   bool zipf = false;        ///< skewed vs uniform key picks
   bool checkpoint = false;  ///< reopen takes the fast-restore path
+  bool stw_resize = false;  ///< RHIK doubles stop-the-world (Fig. 7 mode)
 };
 
 DeviceConfig device_config(const DiffConfig& dc) {
@@ -85,6 +87,7 @@ DeviceConfig device_config(const DiffConfig& dc) {
   cfg.geometry = flash::Geometry::tiny(64);
   cfg.dram_cache_bytes = 32 * 1024;
   cfg.index_kind = dc.index;
+  cfg.rhik.incremental_resize = !dc.stw_resize;
   // Small retention budget: zipf churn against pinned snapshots must be
   // able to trip oldest-pin expiry, so the oracle exercises the
   // kSnapshotTooOld path, not just happy-path reads.
@@ -400,10 +403,12 @@ std::string write_artifact(std::uint64_t seed, const DiffConfig& dc,
   const std::string path =
       "rhik_diff_failure_" + std::to_string(seed) + ".txt";
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f, "seed: %llu\nindex: %s\nzipf: %d\ncheckpoint: %d\n",
+    std::fprintf(f,
+                 "seed: %llu\nindex: %s\nzipf: %d\ncheckpoint: %d\n"
+                 "stw_resize: %d\n",
                  static_cast<unsigned long long>(seed),
                  dc.index == IndexKind::kRhik ? "rhik" : "mlhash",
-                 dc.zipf ? 1 : 0, dc.checkpoint ? 1 : 0);
+                 dc.zipf ? 1 : 0, dc.checkpoint ? 1 : 0, dc.stw_resize ? 1 : 0);
     std::fprintf(f, "divergence: %s\nops (%zu):\n", divergence.c_str(),
                  trace.size());
     for (const Op& op : trace) {
@@ -420,9 +425,12 @@ std::string write_artifact(std::uint64_t seed, const DiffConfig& dc,
 void check_seed(std::uint64_t seed) {
   const bool zipf = (seed >> 1) & 1;
   const bool checkpoint = (seed >> 2) & 1;
+  // Stop-the-world doubling applies to the RHIK arm only.
+  const bool stw_resize = (seed >> 3) & 1;
   const std::vector<Op> trace = generate_trace(seed, zipf, 1200);
   for (const IndexKind index : {IndexKind::kRhik, IndexKind::kMlHash}) {
-    const DiffConfig dc{index, zipf, checkpoint};
+    const DiffConfig dc{index, zipf, checkpoint,
+                        index == IndexKind::kRhik && stw_resize};
     const auto divergence = run_trace(dc, trace);
     if (!divergence) continue;
     const std::vector<Op> minimal = shrink_trace(dc, trace);
@@ -433,6 +441,7 @@ void check_seed(std::uint64_t seed) {
            << std::dec << ", index="
            << (index == IndexKind::kRhik ? "rhik" : "mlhash")
            << ", zipf=" << zipf << ", checkpoint=" << checkpoint
+           << ", stw_resize=" << dc.stw_resize
            << "): " << confirmed.value_or(*divergence) << "\nminimal trace ("
            << minimal.size() << " ops) written to " << path
            << "\nreplay: RHIK_TEST_SEED=" << seed;

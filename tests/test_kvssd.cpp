@@ -265,40 +265,6 @@ TEST(Kvssd, DrainOnEmptyQueueIsNoop) {
   EXPECT_EQ(dev.clock().now(), t);
 }
 
-TEST(Kvssd, IteratePrefixRequiresConfig) {
-  KvssdDevice dev(small_config());
-  EXPECT_EQ(dev.kvs_open_iterator(key("user"), nullptr).status(),
-            Status::kUnsupported);
-}
-
-TEST(Kvssd, IteratePrefixEnumeratesExactMatches) {
-  DeviceConfig cfg = small_config();
-  cfg.prefix_signatures = true;  // §VI iterator extension
-  KvssdDevice dev(cfg);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_EQ(dev.put(key("user:" + std::to_string(i)), key("u")), Status::kOk);
-    ASSERT_EQ(dev.put(key("acct:" + std::to_string(i)), key("a")), Status::kOk);
-  }
-  auto users = dev.kvs_open_iterator(key("user"), nullptr);
-  ASSERT_TRUE(users);
-  std::vector<Bytes> keys;
-  std::vector<Bytes> batch;
-  while (dev.kvs_iterator_next(*users, 64, &batch) == Status::kOk) {
-    keys.insert(keys.end(), batch.begin(), batch.end());
-  }
-  ASSERT_EQ(dev.kvs_close_iterator(*users), Status::kOk);
-  EXPECT_EQ(keys.size(), 20u);
-  for (const auto& k : keys) {
-    EXPECT_EQ(rhik::to_string(ByteSpan{k}.subspan(0, 5)), "user:");
-  }
-  // The batch limit is honoured.
-  auto accts = dev.kvs_open_iterator(key("acct"), nullptr);
-  ASSERT_TRUE(accts);
-  ASSERT_EQ(dev.kvs_iterator_next(*accts, 5, &keys), Status::kOk);
-  EXPECT_EQ(keys.size(), 5u);
-  EXPECT_EQ(dev.kvs_close_iterator(*accts), Status::kOk);
-}
-
 TEST(Kvssd, MlHashBackendWorksEndToEnd) {
   KvssdDevice dev(small_config(IndexKind::kMlHash));
   for (int i = 0; i < 500; ++i) {
