@@ -111,7 +111,7 @@ void ablate_cache_budget() {
     const std::uint64_t lookups = 500'000;
     const SimTime t0 = rig.clock.now();
     for (std::uint64_t i = 0; i < lookups; ++i) {
-      rig.index.get(hash::mix64(zipf.next(rng)) | 1);
+      (void)rig.index.lookup(hash::mix64(zipf.next(rng)) | 1);
     }
     const auto& st = rig.index.op_stats();
     const SimTime elapsed = rig.clock.now() - t0;

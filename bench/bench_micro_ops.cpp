@@ -130,7 +130,7 @@ void BM_RhikCachedGet(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.get(sigs[i++ % sigs.size()]));
+    benchmark::DoNotOptimize(index.lookup(sigs[i++ % sigs.size()]));
   }
 }
 BENCHMARK(BM_RhikCachedGet);
@@ -154,20 +154,19 @@ void BM_RhikColdGet(benchmark::State& state) {
       const std::uint64_t sig = rng.next();
       if (ok(loader.put(sig, i))) sigs.push_back(sig);
     }
-    if (!ok(loader.flush())) {
+    if (!ok(loader.flush()) || !ok(loader.serialize_image(image))) {
       state.SkipWithError("preload flush failed");
       return;
     }
-    image = loader.serialize_directory();
   }
   index::RhikIndex index(&nand, &alloc, cfg, 2ull * nand.geometry().page_size);
-  if (!ok(index.load_directory(image))) {
+  if (!ok(index.load_image(image))) {
     state.SkipWithError("directory reload failed");
     return;
   }
   Rng pick(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.get(sigs[pick.next_below(sigs.size())]));
+    benchmark::DoNotOptimize(index.lookup(sigs[pick.next_below(sigs.size())]));
   }
   state.counters["miss_ratio"] = index.cache_stats().miss_ratio();
 }

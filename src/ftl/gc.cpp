@@ -206,7 +206,6 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
       case PageKind::kDataCont:
         break;  // moved with its head page
       case PageKind::kIndexRecord:
-      case PageKind::kIndexDir:
         if (hooks_->gc_is_live_index_page(ppa)) {
           if (Status s = hooks_->gc_relocate_index_page(ppa); !ok(s)) {
             *page = pg;
@@ -217,6 +216,7 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
         break;
       case PageKind::kFree:
         break;
+      case PageKind::kIndexDir:
       case PageKind::kCkptSuper:
       case PageKind::kCkptJournal:
         break;  // live only in the reserved tail, never in a victim
@@ -239,7 +239,11 @@ Status GarbageCollector::relocate_data_head(Ppa ppa) {
   for (auto it = pairs->rbegin(); it != pairs->rend(); ++it) {
     victim_sigs_.insert(it->header.sig);
     if (!seen.insert(it->header.sig).second) continue;  // older duplicate
-    const auto mapped = hooks_->gc_lookup(it->header.sig);
+    // A failed lookup ends the collection here: the pair may be live,
+    // and the victim must not be erased under it.
+    const auto looked = hooks_->gc_lookup(it->header.sig);
+    if (!looked) return looked.status();
+    const std::optional<Ppa>& mapped = *looked;
 
     // Snapshot-retained versions of this signature living in this page
     // (possibly several, the key's history) move out before the erase,

@@ -7,9 +7,12 @@
 // global index: a pair is live iff the index still maps its signature to
 // this extent's starting PPA. Live pairs are relocated through the normal
 // log write path (onto the cold stream when hot/cold separation is on)
-// and the index is updated. Index-zone blocks (record pages made stale by
-// a resize, old directory checkpoints) are validated and relocated
-// through the owning index's hooks.
+// and the index is updated. Index-zone blocks hold only record pages
+// (stale ones from write-backs and resizes, live ones the index still
+// points at); they are validated and relocated through the owning
+// index's hooks. A failed index lookup stops the collection with that
+// error and leaves the victim unerased: a pair that may be live is never
+// treated as stale.
 //
 // Besides the synchronous collect()/collect_one() paths, the collector
 // can run *incrementally*: background_tick() processes one bounded work
@@ -40,13 +43,14 @@ class GcIndexHooks {
  public:
   virtual ~GcIndexHooks() = default;
 
-  /// Current starting PPA for a key signature, or nullopt if unmapped.
-  virtual std::optional<flash::Ppa> gc_lookup(std::uint64_t sig) = 0;
+  /// Current starting PPA for a key signature, nullopt if unmapped, or
+  /// the error of a failed metadata read. Not counted as an index get.
+  virtual Result<std::optional<flash::Ppa>> gc_lookup(std::uint64_t sig) = 0;
 
   /// Point the signature's record at the pair's new location.
   virtual Status gc_update_location(std::uint64_t sig, flash::Ppa new_ppa) = 0;
 
-  /// Liveness of an index-zone page (record table / directory checkpoint).
+  /// Liveness of an index-zone record page.
   virtual bool gc_is_live_index_page(flash::Ppa ppa) const = 0;
 
   /// Rewrite a live index-zone page elsewhere and update internal

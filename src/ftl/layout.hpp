@@ -44,7 +44,7 @@ enum class PageKind : std::uint8_t {
   kDataHead = 0x01,    ///< data page holding pair starts + signature area
   kDataCont = 0x02,    ///< continuation page of a multi-page extent
   kIndexRecord = 0x11, ///< serialized record-layer hash table
-  kIndexDir = 0x12,    ///< persisted directory checkpoint
+  kIndexDir = 0x12,    ///< device checkpoint payload (reserved tail only)
   kCkptSuper = 0x21,   ///< checkpoint superblock (slot commit record)
   kCkptJournal = 0x22, ///< index-delta journal page
 };

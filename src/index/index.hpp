@@ -5,7 +5,13 @@
 // are index-agnostic. All methods operate on fixed-size key signatures:
 // the device layer hashes application keys (§IV-A) before touching the
 // index, and performs the full-key recheck that defeats signature
-// collisions (§IV-A3).
+// collisions (§IV-A3). Lookups (lookup(), and GC's gc_lookup()) carry a
+// status: a metadata read failure is never reported as a miss.
+//
+// A scheme's DRAM directory has one durable copy: the image the device
+// checkpoint stores (serialize_image()/load_image(), DESIGN.md §8) plus
+// the journal records below. Without checkpointing, a restart rebuilds
+// the index from the data log (kvssd/recovery.hpp).
 #pragma once
 
 #include <cstdint>
@@ -68,8 +74,9 @@ struct ResizeEvent {
 /// Sink for index-delta records emitted on the write path (checkpoint
 /// journaling, DESIGN.md §8). The index reports every durable mapping
 /// change so that `checkpoint image + journal tail` reconstructs its
-/// state without a device scan:
-///  - journal_put / journal_erase: a signature's mapping changed;
+/// state without a device scan (deletions are journaled by the device,
+/// once the tombstone landed, not by the index):
+///  - journal_put: a signature's mapping changed (put, GC relocation);
 ///  - journal_repoint: a metadata-page slot moved to a new PPA (record
 ///    table write-back, GC relocation), keyed by the index's own slot id;
 ///  - journal_resize: a directory doubling began (new generation opened);
@@ -83,7 +90,6 @@ class IndexJournal {
  public:
   virtual ~IndexJournal() = default;
   virtual void journal_put(std::uint64_t sig, flash::Ppa ppa) = 0;
-  virtual void journal_erase(std::uint64_t sig) = 0;
   virtual void journal_repoint(std::uint64_t slot_key, flash::Ppa ppa) = 0;
   virtual void journal_resize(std::uint32_t new_gen, std::uint32_t new_bits) {
     (void)new_gen;
@@ -101,22 +107,14 @@ class IIndex : public ftl::GcIndexHooks {
   /// Maps `sig` to the pair's starting PPA (insert or update).
   virtual Status put(std::uint64_t sig, flash::Ppa ppa) = 0;
 
-  /// Current mapping for `sig`, if any.
-  virtual std::optional<flash::Ppa> get(std::uint64_t sig) = 0;
-
-  /// Status-carrying lookup: distinguishes "no mapping" (kOk + nullopt)
-  /// from a metadata I/O failure (non-kOk). The device layer uses this on
-  /// every data-path probe so a torn metadata page surfaces as kIoError
-  /// instead of a phantom miss that could overwrite live data.
-  virtual Result<std::optional<flash::Ppa>> lookup(std::uint64_t sig) {
-    return get(sig);
-  }
+  /// Current mapping for `sig`: distinguishes "no mapping" (kOk +
+  /// nullopt) from a metadata I/O failure (non-kOk), so a torn or
+  /// unreadable metadata page surfaces as an error instead of a phantom
+  /// miss that could overwrite live data. Counted as an index get.
+  virtual Result<std::optional<flash::Ppa>> lookup(std::uint64_t sig) = 0;
 
   /// Removes the mapping. kNotFound if absent.
   virtual Status erase(std::uint64_t sig) = 0;
-
-  /// Probabilistic membership check by signature only (§IV-A3).
-  virtual bool exists(std::uint64_t sig) { return get(sig).has_value(); }
 
   /// Locality group of a signature: operations in the same group hit the
   /// same flash-resident metadata page(s), so executing a batch grouped
@@ -141,7 +139,9 @@ class IIndex : public ftl::GcIndexHooks {
   /// (directories), excluding the shared page cache.
   [[nodiscard]] virtual std::uint64_t dram_bytes() const = 0;
 
-  /// Persists all dirty state (cached tables, directory checkpoint).
+  /// Writes back every dirty cached table (RHIK first drains an
+  /// in-flight migration). Returns the first failed write-back's status,
+  /// so a flush that left a table unpersisted never reports kOk.
   virtual Status flush() = 0;
 
   /// Full scan over every (signature, PPA) record. Loads record pages as
@@ -199,7 +199,7 @@ class IIndex : public ftl::GcIndexHooks {
 
   /// Advances in-flight structural maintenance (incremental migration) by
   /// up to `budget` work units; 0 means the scheme's default quantum.
-  /// Called from the device background pump (gc_tick / idle loop), so a
+  /// Called from the device background pump (pump_background), so a
   /// quiescent device still drains a doubling. Returns true iff progress
   /// was made — callers stop pumping when it returns false, so a wedged
   /// migration (e.g. device full) must not report progress forever.
@@ -238,7 +238,8 @@ class IIndex : public ftl::GcIndexHooks {
     return put(sig, ppa);
   }
 
-  /// Replays a journal_erase record (idempotent: kNotFound is success).
+  /// Replays a deletion (a located-delete record or a ghost tombstone);
+  /// idempotent: kNotFound is success.
   virtual Status apply_journal_erase(std::uint64_t sig) {
     const Status s = erase(sig);
     return s == Status::kNotFound ? Status::kOk : s;

@@ -53,9 +53,13 @@ MlHashIndex::MlHashIndex(flash::NandDevice* nand, ftl::PageAllocator* alloc,
     capacity_ += pages * codec_.records_per_page();
   }
   cache_.set_writeback([this](const std::uint64_t& key, CachedTable& v) {
+    // As in RhikIndex: counted, and the first failure kept for flush().
     const Status s =
         write_table(key_level(key), key_page(key), v.table, /*for_gc=*/false);
-    if (!ok(s)) stats_.writeback_failures++;
+    if (!ok(s)) {
+      stats_.writeback_failures++;
+      if (ok(writeback_error_)) writeback_error_ = s;
+    }
   });
 }
 
@@ -161,12 +165,6 @@ Result<std::optional<Ppa>> MlHashIndex::lookup(std::uint64_t sig) {
   return std::optional<Ppa>((*loc)->ppa);
 }
 
-std::optional<Ppa> MlHashIndex::get(std::uint64_t sig) {
-  auto r = lookup(sig);
-  if (!r) return std::nullopt;
-  return *r;
-}
-
 Status MlHashIndex::put(std::uint64_t sig, Ppa ppa) {
   stats_.puts++;
   std::uint64_t reads = 0;
@@ -216,15 +214,15 @@ Status MlHashIndex::erase(std::uint64_t sig) {
   (*table)->erase(sig);
   num_keys_--;
   cache_.mark_dirty(make_key((*loc)->level, (*loc)->page));
-  if (journal_) journal_->journal_erase(sig);
   return Status::kOk;
 }
 
-std::optional<Ppa> MlHashIndex::gc_lookup(std::uint64_t sig) {
+Result<std::optional<Ppa>> MlHashIndex::gc_lookup(std::uint64_t sig) {
   std::uint64_t reads = 0;
   auto loc = locate(sig, &reads);
-  if (!loc || !*loc) return std::nullopt;
-  return (*loc)->ppa;
+  if (!loc) return loc.status();
+  if (!*loc) return std::optional<Ppa>(std::nullopt);
+  return std::optional<Ppa>((*loc)->ppa);
 }
 
 Status MlHashIndex::gc_update_location(std::uint64_t sig, Ppa new_ppa) {
@@ -273,8 +271,9 @@ std::uint64_t MlHashIndex::dram_bytes() const {
 }
 
 Status MlHashIndex::flush() {
+  writeback_error_ = Status::kOk;
   cache_.flush_all();
-  return Status::kOk;
+  return writeback_error_;
 }
 
 // -- Checkpointing -------------------------------------------------------------

@@ -44,7 +44,6 @@ class MlHashIndex final : public IIndex {
 
   // -- IIndex -----------------------------------------------------------------
   Status put(std::uint64_t sig, flash::Ppa ppa) override;
-  std::optional<flash::Ppa> get(std::uint64_t sig) override;
   Result<std::optional<flash::Ppa>> lookup(std::uint64_t sig) override;
   Status erase(std::uint64_t sig) override;
   [[nodiscard]] std::uint64_t size() const override { return num_keys_; }
@@ -59,7 +58,7 @@ class MlHashIndex final : public IIndex {
   }
 
   // -- GcIndexHooks --------------------------------------------------------------
-  std::optional<flash::Ppa> gc_lookup(std::uint64_t sig) override;
+  Result<std::optional<flash::Ppa>> gc_lookup(std::uint64_t sig) override;
   Status gc_update_location(std::uint64_t sig, flash::Ppa new_ppa) override;
   bool gc_is_live_index_page(flash::Ppa ppa) const override;
   Status gc_relocate_index_page(flash::Ppa ppa) override;
@@ -125,6 +124,8 @@ class MlHashIndex final : public IIndex {
 
   std::uint64_t num_keys_ = 0;
   IndexOpStats stats_;
+  /// First failed cache write-back since the last flush() began.
+  Status writeback_error_ = Status::kOk;
   IndexJournal* journal_ = nullptr;
 };
 

@@ -1,4 +1,6 @@
-// RHIK configuration and the paper's sizing equations.
+// RHIK configuration and the paper's sizing equations. The directory's
+// persistence is not configured here: its one durable copy is the device
+// checkpoint's image (kvssd::CheckpointConfig, DESIGN.md §8).
 #pragma once
 
 #include <bit>
@@ -48,8 +50,6 @@ struct RhikConfig {
   /// CPU cost charged per record rearranged during migration (the
   /// signature-reuse re-bucketing work of §IV-A2).
   SimTime migrate_cpu_ns_per_record = 20;
-  /// Record-page write-backs between directory checkpoints to flash.
-  std::uint32_t dir_checkpoint_interval = 1024;
 
   /// hi — hopinfo bytes per record (Eq. 1).
   [[nodiscard]] constexpr std::uint32_t hopinfo_bytes() const noexcept {

@@ -10,10 +10,7 @@ void IndexPageSpare::encode(MutByteSpan spare) const noexcept {
   std::size_t off = ftl::SpareTag::kEncodedSize;  // tag written separately
   put_u32(spare, off, generation); off += 4;
   put_u64(spare, off, bucket); off += 8;
-  put_u32(spare, off, record_count); off += 4;
-  put_u32(spare, off, checkpoint_id); off += 4;
-  put_u16(spare, off, fragment); off += 2;
-  put_u16(spare, off, fragments_total);
+  put_u32(spare, off, record_count);
 }
 
 IndexPageSpare IndexPageSpare::decode(ByteSpan spare) noexcept {
@@ -22,10 +19,7 @@ IndexPageSpare IndexPageSpare::decode(ByteSpan spare) noexcept {
   std::size_t off = ftl::SpareTag::kEncodedSize;
   s.generation = get_u32(spare, off); off += 4;
   s.bucket = get_u64(spare, off); off += 8;
-  s.record_count = get_u32(spare, off); off += 4;
-  s.checkpoint_id = get_u32(spare, off); off += 4;
-  s.fragment = get_u16(spare, off); off += 2;
-  s.fragments_total = get_u16(spare, off);
+  s.record_count = get_u32(spare, off);
   return s;
 }
 

@@ -19,21 +19,16 @@
 
 namespace rhik::index {
 
-/// Spare-area metadata of an index-zone page, after the generic SpareTag.
-/// Record pages carry their owning directory bucket + index generation so
-/// GC and recovery can re-home them; directory checkpoint pages carry a
-/// checkpoint id and fragment position.
+/// Spare-area metadata of an index-zone record page, after the generic
+/// SpareTag: the owning directory bucket, index generation (mlhash: page
+/// and level) and record count. The index zone holds record pages only.
 struct IndexPageSpare {
   std::uint32_t generation = 0;
-  std::uint64_t bucket = 0;      ///< record pages: directory bucket
+  std::uint64_t bucket = 0;      ///< directory bucket
   std::uint32_t record_count = 0;
-  // directory checkpoint fields
-  std::uint32_t checkpoint_id = 0;
-  std::uint16_t fragment = 0;
-  std::uint16_t fragments_total = 0;
 
   static constexpr std::size_t kEncodedSize =
-      ftl::SpareTag::kEncodedSize + 4 + 8 + 4 + 4 + 2 + 2;
+      ftl::SpareTag::kEncodedSize + 4 + 8 + 4;
 
   void encode(MutByteSpan spare) const noexcept;
   static IndexPageSpare decode(ByteSpan spare) noexcept;

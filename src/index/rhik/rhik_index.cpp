@@ -1,6 +1,5 @@
 #include "index/rhik/rhik_index.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace rhik::index {
@@ -23,12 +22,16 @@ RhikIndex::RhikIndex(flash::NandDevice* nand, ftl::PageAllocator* alloc,
   cache_.set_writeback([this](const std::uint64_t& key, CachedTable& v) {
     // Write-back of an evicted dirty table (dirty entries are decoded:
     // only load_table hands out a mutable table). Failure means the
-    // device is wedged full (GC not keeping up); surfaced via stats since
-    // the eviction path cannot propagate a status.
+    // device is wedged full (GC not keeping up) or powered off; the
+    // eviction path cannot propagate a status, so it is counted and the
+    // first one is kept for flush() to return.
     assert(v.page.empty());
     const Status s = write_table(key_gen(key), key_bucket(key), v.table,
                                  /*for_gc=*/false);
-    if (!ok(s)) stats_.writeback_failures++;
+    if (!ok(s)) {
+      stats_.writeback_failures++;
+      if (ok(writeback_error_)) writeback_error_ = s;
+    }
   });
 }
 
@@ -177,12 +180,6 @@ Status RhikIndex::write_table(std::uint32_t gen, std::uint64_t bucket,
   page_owner_[*ppa] = PageOwner{make_key(gen, bucket)};
   alloc_->add_live(*ppa, g.page_size);
   if (journal_) journal_->journal_repoint(make_key(gen, bucket), *ppa);
-
-  if (gen == gen_ && !in_maintenance_ && !mig_) {
-    if (++writes_since_checkpoint_ >= cfg_.dir_checkpoint_interval) {
-      return checkpoint_directory();
-    }
-  }
   return Status::kOk;
 }
 
@@ -217,14 +214,6 @@ Result<std::optional<Ppa>> RhikIndex::lookup(std::uint64_t sig) {
   auto r = lookup_internal(sig, &reads);
   stats_.reads_per_lookup.record(reads);
   return r;
-}
-
-std::optional<Ppa> RhikIndex::get(std::uint64_t sig) {
-  // Status-less convenience wrapper: an I/O failure degrades to "not
-  // found" here; the device data path uses lookup() and sees the error.
-  auto r = lookup(sig);
-  if (!r) return std::nullopt;
-  return *r;
 }
 
 RhikIndex::Home RhikIndex::window_home(std::uint64_t sig) const noexcept {
@@ -351,10 +340,7 @@ Status RhikIndex::erase(std::uint64_t sig) {
   const Home home = window_home(sig);
   if (Status s = erase_at(home, sig, &had, &reads); !ok(s)) return s;
   stats_.reads_per_lookup.record(reads);
-  if (had) {
-    num_keys_--;
-    if (journal_) journal_->journal_erase(sig);
-  }
+  if (had) num_keys_--;
   return had ? Status::kOk : Status::kNotFound;
 }
 
@@ -530,9 +516,6 @@ void RhikIndex::finish_migration() {
       mig_->keys_before, mig_->capacity_before,
       nand_->clock().now() - mig_->start_time});
   mig_.reset();
-  // A failed post-migration checkpoint (device wedged full) is not fatal:
-  // the directory re-checkpoints at the next write-back cadence.
-  if (!ok(checkpoint_directory())) stats_.writeback_failures++;
 }
 
 bool RhikIndex::pump_maintenance(std::uint32_t budget) {
@@ -547,11 +530,9 @@ bool RhikIndex::pump_maintenance(std::uint32_t budget) {
 
 // -- GC hooks -----------------------------------------------------------------
 
-std::optional<Ppa> RhikIndex::gc_lookup(std::uint64_t sig) {
+Result<std::optional<Ppa>> RhikIndex::gc_lookup(std::uint64_t sig) {
   std::uint64_t reads = 0;
-  auto r = lookup_internal(sig, &reads);
-  if (!r) return std::nullopt;
-  return *r;
+  return lookup_internal(sig, &reads);
 }
 
 Status RhikIndex::gc_update_location(std::uint64_t sig, Ppa new_ppa) {
@@ -580,17 +561,10 @@ Status RhikIndex::gc_update_location(std::uint64_t sig, Ppa new_ppa) {
 }
 
 bool RhikIndex::gc_is_live_index_page(Ppa ppa) const {
-  if (page_owner_.count(ppa) != 0) return true;
-  return std::find(checkpoint_pages_.begin(), checkpoint_pages_.end(), ppa) !=
-         checkpoint_pages_.end();
+  return page_owner_.count(ppa) != 0;
 }
 
 Status RhikIndex::gc_relocate_index_page(Ppa ppa) {
-  if (std::find(checkpoint_pages_.begin(), checkpoint_pages_.end(), ppa) !=
-      checkpoint_pages_.end()) {
-    // Rewrite the whole checkpoint fresh; all old fragments go stale.
-    return checkpoint_directory();
-  }
   const auto it = page_owner_.find(ppa);
   if (it == page_owner_.end()) return Status::kOk;  // already stale
   const std::uint32_t gen = key_gen(it->second.key);
@@ -604,26 +578,29 @@ Status RhikIndex::gc_relocate_index_page(Ppa ppa) {
 
 // -- Persistence ---------------------------------------------------------------
 
-Bytes RhikIndex::serialize_directory() const {
-  // [magic u32][dir_bits u32][gen u32][num_keys u64]
-  // [primary entries: ppa 5B each][overflow entries: ppa 5B each]
-  constexpr std::uint32_t kMagic = 0x52484B44;  // "RHKD"
-  Bytes image(4 + 4 + 4 + 8 + dir_.size() * 5 * 2);
-  put_u32(image, 0, kMagic);
-  put_u32(image, 4, dir_bits_);
-  put_u32(image, 8, gen_);
-  put_u64(image, 12, num_keys_);
-  for (std::size_t i = 0; i < dir_.size(); ++i) {
-    put_u40(image, 20 + i * 5, dir_[i]);
-    put_u40(image, 20 + (dir_.size() + i) * 5, ov_dir_[i]);
-  }
-  return image;
+namespace {
+constexpr std::uint32_t kImageMagic = 0x52484B44;  // "RHKD"
 }
 
-Status RhikIndex::load_directory(ByteSpan image) {
+Status RhikIndex::serialize_image(Bytes& out) {
+  // [magic u32][dir_bits u32][gen u32][num_keys u64]
+  // [primary entries: ppa 5B each][overflow entries: ppa 5B each]
+  out.assign(4 + 4 + 4 + 8 + dir_.size() * 5 * 2, 0);
+  put_u32(out, 0, kImageMagic);
+  put_u32(out, 4, dir_bits_);
+  put_u32(out, 8, gen_);
+  put_u64(out, 12, num_keys_);
+  for (std::size_t i = 0; i < dir_.size(); ++i) {
+    put_u40(out, 20 + i * 5, dir_[i]);
+    put_u40(out, 20 + (dir_.size() + i) * 5, ov_dir_[i]);
+  }
+  return Status::kOk;
+}
+
+Status RhikIndex::load_image(ByteSpan image) {
   if (mig_) return Status::kBusy;
   if (image.size() < 20) return Status::kCorruption;
-  if (get_u32(image, 0) != 0x52484B44) return Status::kCorruption;
+  if (get_u32(image, 0) != kImageMagic) return Status::kCorruption;
   const std::uint32_t bits = get_u32(image, 4);
   if (bits > 40) return Status::kCorruption;
   const std::uint64_t entries = std::uint64_t{1} << bits;
@@ -631,6 +608,7 @@ Status RhikIndex::load_directory(ByteSpan image) {
 
   cache_.clear();
   page_owner_.clear();
+  replay_saw_resize_ = false;
   dir_bits_ = bits;
   gen_ = get_u32(image, 8);
   num_keys_ = get_u64(image, 12);
@@ -647,15 +625,6 @@ Status RhikIndex::load_directory(ByteSpan image) {
     }
   }
   return Status::kOk;
-}
-
-Status RhikIndex::load_image(ByteSpan image) {
-  // checkpoint_pages_ would otherwise carry PPAs from a previous life and
-  // confuse gc_is_live_index_page.
-  checkpoint_pages_.clear();
-  writes_since_checkpoint_ = 0;
-  replay_saw_resize_ = false;
-  return load_directory(image);
 }
 
 Status RhikIndex::apply_journal_repoint(
@@ -771,9 +740,7 @@ Status RhikIndex::apply_journal_migrate(std::uint64_t old_slot_key) {
   }
   mig_->migrated[ob] = true;
   if (--mig_->pending == 0) {
-    // The crashed index completed this migration; close the window
-    // without the live path's directory checkpoint (replay must not
-    // program flash).
+    // The crashed index completed this migration; close the window.
     mig_.reset();
   }
   return Status::kOk;
@@ -848,45 +815,6 @@ Status RhikIndex::recount_keys() {
   return Status::kOk;
 }
 
-Status RhikIndex::checkpoint_directory() {
-  const auto& g = nand_->geometry();
-  // Retire the previous checkpoint fragments.
-  for (const Ppa p : checkpoint_pages_) alloc_->sub_live(p, g.page_size);
-  checkpoint_pages_.clear();
-  checkpoint_id_++;
-
-  const Bytes image = serialize_directory();
-  const std::uint32_t fragments =
-      static_cast<std::uint32_t>((image.size() + g.page_size - 1) / g.page_size);
-  Bytes spare(g.spare_size(), 0xFF);
-  for (std::uint32_t f = 0; f < fragments; ++f) {
-    ftl::SpareTag{ftl::PageKind::kIndexDir, ftl::Stream::kIndex}.encode(spare);
-    IndexPageSpare meta;
-    meta.generation = gen_;
-    meta.checkpoint_id = checkpoint_id_;
-    meta.fragment = static_cast<std::uint16_t>(f);
-    meta.fragments_total = static_cast<std::uint16_t>(fragments);
-    meta.encode(spare);
-
-    auto ppa = alloc_->allocate(ftl::Stream::kIndex, /*for_gc=*/false);
-    if (!ppa && ppa.status() == Status::kDeviceFull) {
-      ppa = alloc_->allocate(ftl::Stream::kIndex, /*for_gc=*/true);
-    }
-    if (!ppa) return ppa.status();
-    const std::size_t off = std::size_t{f} * g.page_size;
-    const std::size_t len = std::min<std::size_t>(g.page_size, image.size() - off);
-    if (Status s = nand_->program_page(*ppa, ByteSpan{image.data() + off, len}, spare);
-        !ok(s)) {
-      return s;
-    }
-    stats_.flash_writes++;
-    checkpoint_pages_.push_back(*ppa);
-    alloc_->add_live(*ppa, g.page_size);
-  }
-  writes_since_checkpoint_ = 0;
-  return Status::kOk;
-}
-
 Status RhikIndex::scan(const std::function<void(std::uint64_t, flash::Ppa)>& fn) {
   const auto visit = [&](std::uint32_t gen, std::uint64_t bucket) -> Status {
     for (const std::uint64_t keyed : {bucket, bucket | kOvBit}) {
@@ -927,10 +855,11 @@ std::uint64_t RhikIndex::dram_bytes() const {
 }
 
 Status RhikIndex::flush() {
-  // Drain any in-flight migration first: the serialized directory only
-  // describes the current generation, so "persist all dirty state" must
-  // close the window before checkpointing it. An explicit flush is a
+  // Drain any in-flight migration first: the directory image describes
+  // one generation, and the device checkpoint that follows a flush
+  // refuses to run mid-migration (kBusy). An explicit flush is a
   // durability barrier and may absorb the remaining quanta.
+  writeback_error_ = Status::kOk;
   while (mig_) {
     const std::uint64_t before = mig_->pending;
     const Status s = pump_migration(cfg_.incremental_batch);
@@ -944,7 +873,7 @@ Status RhikIndex::flush() {
     }
   }
   cache_.flush_all();
-  return checkpoint_directory();
+  return writeback_error_;
 }
 
 }  // namespace rhik::index

@@ -1,9 +1,11 @@
 // RHIK — Re-configurable Hash-based Indexing for KVSSD (paper §IV).
 //
 // Two-level hash index:
-//   * Directory layer: 2^D physical page addresses kept in SSD DRAM
-//     (checkpointed to flash periodically). The D least-significant bits
-//     of the 64-bit key signature select the directory entry.
+//   * Directory layer: 2^D physical page addresses kept in SSD DRAM. The
+//     D least-significant bits of the 64-bit key signature select the
+//     directory entry. Its one durable copy is the image the device
+//     checkpoint stores (serialize_image(), DESIGN.md §8); without
+//     checkpointing a restart rebuilds it from the data log.
 //   * Record layer: one fixed-size hopscotch table per flash page (R
 //     records, Eq. 1), served from flash through a byte-budgeted DRAM
 //     cache. Dirty tables are written back on eviction (log-style: a new
@@ -46,7 +48,6 @@ class RhikIndex final : public IIndex {
 
   // -- IIndex ---------------------------------------------------------------
   Status put(std::uint64_t sig, flash::Ppa ppa) override;
-  std::optional<flash::Ppa> get(std::uint64_t sig) override;
   Result<std::optional<flash::Ppa>> lookup(std::uint64_t sig) override;
   Status erase(std::uint64_t sig) override;
   [[nodiscard]] std::uint64_t size() const override { return num_keys_; }
@@ -68,7 +69,7 @@ class RhikIndex final : public IIndex {
   }
 
   // -- GcIndexHooks -----------------------------------------------------------
-  std::optional<flash::Ppa> gc_lookup(std::uint64_t sig) override;
+  Result<std::optional<flash::Ppa>> gc_lookup(std::uint64_t sig) override;
   Status gc_update_location(std::uint64_t sig, flash::Ppa new_ppa) override;
   bool gc_is_live_index_page(flash::Ppa ppa) const override;
   Status gc_relocate_index_page(flash::Ppa ppa) override;
@@ -101,18 +102,13 @@ class RhikIndex final : public IIndex {
     return cache_.stats();
   }
 
-  /// Serialized directory image (what a checkpoint page sequence holds);
-  /// `load_directory` restores a flushed index from it. Together these
-  /// give tests a clean-shutdown persistence path.
-  [[nodiscard]] Bytes serialize_directory() const;
-  Status load_directory(ByteSpan image);
-
   // -- Checkpointing hooks (IIndex) ------------------------------------------
   void set_journal(IndexJournal* journal) override { journal_ = journal; }
-  Status serialize_image(Bytes& out) override {
-    out = serialize_directory();
-    return Status::kOk;
-  }
+  /// The directory image: dir bits, generation, key count and the
+  /// primary and overflow PPAs of the current generation (the device
+  /// checkpoint only takes one outside a migration).
+  Status serialize_image(Bytes& out) override;
+  /// Restores a flushed index from serialize_image()'s output.
   Status load_image(ByteSpan image) override;
   Status apply_journal_repoint(
       std::uint64_t slot_key, flash::Ppa ppa,
@@ -213,9 +209,8 @@ class RhikIndex final : public IIndex {
   [[nodiscard]] bool growth_capped() const noexcept {
     return dir_bits_ + 1 > std::min(cfg_.max_dir_bits, 38u);
   }
-  Status checkpoint_directory();
 
-  /// get() without op accounting, for GC and internal exist checks.
+  /// lookup() without op accounting (GC's lookups stay uncounted).
   Result<std::optional<flash::Ppa>> lookup_internal(std::uint64_t sig,
                                                     std::uint64_t* reads);
 
@@ -252,7 +247,7 @@ class RhikIndex final : public IIndex {
   /// Owner of a live index-zone record page. `verified` is set once a
   /// full decode has validated the page image (NAND pages are
   /// program-once, so it stays valid): only verified pages are cached
-  /// undecoded. Pages from write_table, load_directory and unvetted
+  /// undecoded. Pages from write_table, load_image and unvetted
   /// journal repoints start unverified.
   struct PageOwner {
     std::uint64_t key = 0;  ///< owning (gen, bucket) key
@@ -262,13 +257,11 @@ class RhikIndex final : public IIndex {
   std::unordered_map<flash::Ppa, PageOwner> page_owner_;
   /// Marks a live page's image as validated by a full decode.
   void mark_verified(flash::Ppa ppa);
-  /// Live directory-checkpoint pages.
-  std::vector<flash::Ppa> checkpoint_pages_;
-  std::uint32_t checkpoint_id_ = 0;
-  std::uint32_t writes_since_checkpoint_ = 0;
 
   std::uint64_t num_keys_ = 0;
   IndexOpStats stats_;
+  /// First failed cache write-back since the last flush() began.
+  Status writeback_error_ = Status::kOk;
   std::vector<ResizeEvent> resize_history_;
 
   struct Migration {

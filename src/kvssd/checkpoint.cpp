@@ -155,10 +155,6 @@ void CheckpointManager::journal_put(std::uint64_t sig, Ppa ppa) {
   append(kRecPut, sig, ppa);
 }
 
-void CheckpointManager::journal_erase(std::uint64_t sig) {
-  append(kRecDel, sig, 0);
-}
-
 void CheckpointManager::journal_del_located(std::uint64_t sig, Ppa ppa) {
   append(kRecDelAt, sig, ppa);
 }
@@ -532,7 +528,6 @@ CheckpointManager::JournalTail CheckpointManager::read_journal_tail(
       rec.kind = pe.data[off];
       rec.key = get_u64(pe.data, off + 1);
       rec.ppa = get_u40(pe.data, off + 9);
-      if (rec.kind == kRecBarrier) tail.has_barrier = true;
       tail.records.push_back(rec);
     }
   }

@@ -14,10 +14,13 @@
 // a torn checkpoint is simply invisible: recovery picks the newest slot
 // whose superblock and payload verify, replays journal pages >= its
 // mark, and falls back to the full-device scan when neither slot is
-// valid (or the journal tail has a gap / resize barrier).
+// valid (or the journal tail has a gap). The payload's index image is
+// the one durable copy of the index directory: the index itself writes
+// none into its zone.
 //
 // On the write path the index reports every durable mapping change
-// through the IndexJournal interface; records are buffered in RAM and
+// through the IndexJournal interface, and the device appends one
+// located-delete record per deletion; records are buffered in RAM and
 // flushed to journal pages when a page fills, on device flush(), and —
 // crucially — before any block erase (a replayed mapping must never
 // point into a block erased after the record was produced). Buffered
@@ -83,21 +86,16 @@ class CheckpointManager final : public index::IndexJournal {
     return cfg.enabled ? 2 * cfg.slot_blocks + cfg.journal_blocks : 0;
   }
 
-  /// Journal record kinds (on-flash encoding). kRecDel is the index's
-  /// provisional erase notice — replay IGNORES it, because it can become
-  /// durable before the deletion's tombstone does. kRecDelAt is appended
-  /// by the device only after the tombstone write succeeded; combined
-  /// with flush_journal's store-first ordering, a durable kRecDelAt
-  /// implies a durable tombstone, so a fast restore honoring it can
-  /// never disagree with a later full scan.
-  /// kRecBarrier is a legacy kind (pre-replayable resizes); it is no
-  /// longer produced, but a tail containing one still forces the full
-  /// scan. kRecResize keys (new_gen << 32) | new_bits; kRecMigrate keys
-  /// the retired source bucket's generation-tagged slot.
+  /// Journal record kinds (on-flash encoding). kRecDelAt is the one
+  /// deletion record: the device appends it only after the tombstone
+  /// write succeeded, and with flush_journal's store-first ordering a
+  /// durable kRecDelAt implies a durable tombstone, so a fast restore
+  /// honoring it can never disagree with a later full scan. kRecResize
+  /// keys (new_gen << 32) | new_bits; kRecMigrate keys the retired
+  /// source bucket's generation-tagged slot. Any other kind in a tail is
+  /// corruption (full-scan fallback).
   static constexpr std::uint8_t kRecPut = 1;
-  static constexpr std::uint8_t kRecDel = 2;
   static constexpr std::uint8_t kRecRepoint = 3;
-  static constexpr std::uint8_t kRecBarrier = 4;
   static constexpr std::uint8_t kRecDelAt = 5;
   static constexpr std::uint8_t kRecResize = 6;
   static constexpr std::uint8_t kRecMigrate = 7;
@@ -127,7 +125,6 @@ class CheckpointManager final : public index::IndexJournal {
 
   // -- IndexJournal ---------------------------------------------------------
   void journal_put(std::uint64_t sig, flash::Ppa ppa) override;
-  void journal_erase(std::uint64_t sig) override;
   void journal_repoint(std::uint64_t slot_key, flash::Ppa ppa) override;
   void journal_resize(std::uint32_t new_gen, std::uint32_t new_bits) override;
   void journal_migrated(std::uint64_t old_slot_key) override;
@@ -184,7 +181,6 @@ class CheckpointManager final : public index::IndexJournal {
     std::vector<JournalRecord> records;
     std::uint64_t pages = 0;
     std::uint64_t max_next_seq = 0;  ///< newest store seq recorded in the tail
-    bool has_barrier = false;
     /// False when pages >= mark are missing (partially erased tail): the
     /// replay would be incomplete and recovery must fall back.
     bool contiguous = true;

@@ -237,11 +237,9 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
   const auto tail =
       CheckpointManager::read_journal_tail(*nand_, cfg_.checkpoint,
                                            found.journal_mark);
-  // A gap means part of the tail was erased (interrupted invalidation); a
-  // barrier is a legacy record from a journal written before resizes were
-  // replayable (generation-tagged resize/migrate records express them
-  // now). Both are full-scan conditions.
-  if (!tail.contiguous || tail.has_barrier) return Status::kCorruption;
+  // A gap means part of the tail was erased (interrupted invalidation):
+  // a full-scan condition.
+  if (!tail.contiguous) return Status::kCorruption;
 
   // Journal pages flush on their own cadence, so a durable put record may
   // reference a data extent that was still in the store's RAM buffer at
@@ -347,15 +345,6 @@ Status KvssdDevice::restore_from_checkpoint(const CheckpointManager::Found& foun
         if (Status s = index_->apply_journal_migrate(rec.key); !ok(s)) {
           return s;
         }
-        break;
-      case CheckpointManager::kRecDel:
-        // Provisional: the index erased the mapping, but this record can
-        // be durable while the deletion's tombstone is not (the pre-erase
-        // hook used to flush only the journal; the store-first ordering
-        // now prevents that, and replay keeps ignoring these for the
-        // flush-boundary window between index erase and tombstone write).
-        // Acting on it would make this restart disagree with a later
-        // full scan, which only ever sees tombstones.
         break;
       case CheckpointManager::kRecDelAt:
         // Durable record implies durable tombstone (store-first flush),
@@ -552,26 +541,17 @@ void KvssdDevice::retire_version(std::uint64_t sig, Ppa ppa,
   }
 }
 
-void KvssdDevice::gc_tick() {
+bool KvssdDevice::pump_background() {
   // Best-effort: an IO failure here (powered-off injector, device full)
   // resurfaces on the next foreground op; the quantum itself must never
   // fail an already-completed command.
-  (void)gc_->background_tick();
-  // An in-flight index doubling drains on the same quantum cadence as
-  // GC, so foreground ops are never charged migration work.
-  (void)index_->pump_maintenance(0);
-  // Retained versions whose windows dropped below the pin floor become
-  // ordinary stale bytes for GC to reclaim.
-  if (!retainer_->empty()) {
-    retainer_->reclaim(
-        [this](Ppa p, std::uint64_t bytes) { store_->note_stale(p, bytes); });
-  }
-}
-
-bool KvssdDevice::pump_background() {
   bool did_work = false;
   (void)gc_->background_tick(&did_work);
+  // An in-flight index doubling drains on the same quantum cadence as
+  // GC, so foreground ops are never charged migration work.
   if (index_->pump_maintenance(0)) did_work = true;
+  // Retained versions whose windows dropped below the pin floor become
+  // ordinary stale bytes for GC to reclaim.
   if (!retainer_->empty()) {
     retainer_->reclaim(
         [this](Ppa p, std::uint64_t bytes) { store_->note_stale(p, bytes); });
@@ -761,8 +741,9 @@ Status KvssdDevice::del_locked(ByteSpan key) {
     }
   }
   if (!ts) return ts.status();
-  // Only now is the deletion replayable: the index's provisional record
-  // could otherwise outlive a tombstone that never left the store buffer.
+  // The deletion's one journal record, appended only once the tombstone
+  // landed: with flush_journal's store-first ordering, a durable record
+  // implies a durable tombstone.
   if (ckpt_) ckpt_->journal_del_located(sig, *ts);
   stats_.deletes++;
   return Status::kOk;
@@ -777,7 +758,7 @@ Status KvssdDevice::put(ByteSpan key, ByteSpan value) {
   const Status s = put_locked(key, value);
   if (traced) obs_finish(tr, s);
   if (ckpt_) ckpt_->tick();
-  gc_tick();
+  (void)pump_background();
   return s;
 }
 
@@ -800,7 +781,7 @@ Status KvssdDevice::del(ByteSpan key) {
   const Status s = del_locked(key);
   if (traced) obs_finish(tr, s);
   if (ckpt_) ckpt_->tick();
-  gc_tick();
+  (void)pump_background();
   return s;
 }
 
@@ -808,7 +789,11 @@ Status KvssdDevice::exist(ByteSpan key) {
   if (key.empty() || key.size() > cfg_.max_key_size) return Status::kInvalidArgument;
   charge_command(/*async=*/false);
   stats_.exists++;
-  return index_->exists(signature(key)) ? Status::kOk : Status::kNotFound;
+  // Signature-only membership (§IV-A3). A metadata read failure is the
+  // lookup's error, never a "not found".
+  const auto looked = index_->lookup(signature(key));
+  if (!looked) return looked.status();
+  return *looked ? Status::kOk : Status::kNotFound;
 }
 
 Result<api::SnapshotHandle> KvssdDevice::open_snapshot() {
@@ -995,7 +980,7 @@ std::size_t KvssdDevice::drain() {
       batch.clear();
     }
     if (ckpt_) ckpt_->tick();
-    gc_tick();
+    (void)pump_background();
   }
   return completed;
 }

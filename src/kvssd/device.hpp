@@ -143,11 +143,14 @@ class KvssdDevice : public api::IKvsBackend {
   /// enabled, the buffered index-delta journal records).
   Status flush() override;
 
-  /// Runs one background GC quantum if reclamation is pending
-  /// (DeviceConfig::gc). Idle-window hook: the sharded front-end's
-  /// workers call this while their submission ring is empty, and the
-  /// device itself ticks it after every foreground op. Returns true when
-  /// work was done (callers may keep pumping until false).
+  /// The one background pump: a GC quantum if reclamation is pending
+  /// (DeviceConfig::gc), an index-migration quantum if a doubling is in
+  /// flight, and the reclaim of retained versions below the pin floor.
+  /// The device runs it after every foreground op and drained batch
+  /// (outside the op's latency window, like the checkpoint pump); the
+  /// sharded front-end's workers also call it while their submission
+  /// ring is empty. Returns true when GC or migration work was done
+  /// (callers may keep pumping until false).
   bool pump_background() override;
 
   /// Synchronously takes an index checkpoint (DESIGN.md §8). kUnsupported
@@ -246,10 +249,6 @@ class KvssdDevice : public api::IKvsBackend {
   /// Runs foreground GC if free space is low. Returns kDeviceFull only
   /// when nothing could be reclaimed.
   Status maybe_gc();
-
-  /// End-of-op background GC step (runs outside the op's latency
-  /// window, like the checkpoint pump).
-  void gc_tick();
 
   /// Connects the index's journal feed and the allocator's pre-erase
   /// flush to the checkpoint manager. Deferred until after recovery

@@ -12,12 +12,12 @@ using flash::Ppa;
 namespace {
 
 /// A torn page can hold arbitrary spare bytes; only these tag values can
-/// have been written by the store or the index layer.
+/// have been written by the store or the index layer (the index zone
+/// holds record pages only).
 bool tag_sane(const ftl::SpareTag& tag) noexcept {
   const bool kind_ok = tag.kind == ftl::PageKind::kDataHead ||
                        tag.kind == ftl::PageKind::kDataCont ||
-                       tag.kind == ftl::PageKind::kIndexRecord ||
-                       tag.kind == ftl::PageKind::kIndexDir;
+                       tag.kind == ftl::PageKind::kIndexRecord;
   const bool stream_ok = tag.stream == ftl::Stream::kData ||
                          tag.stream == ftl::Stream::kIndex ||
                          tag.stream == ftl::Stream::kCold;

@@ -14,13 +14,17 @@
 //     their original MVCC stamps — so the newest version of every
 //     signature wins, and a newest-version tombstone (durable deletion
 //     record) means the key is absent.
-//  3. Old index-zone pages are deliberately ignored: they carry no live
-//     accounting after recovery, so GC reclaims them wholesale. The
-//     directory-checkpoint fast path (RhikIndex::load_directory) remains
-//     available for clean shutdowns. This also makes recovery immune to
-//     an interrupted RHIK resize: old- and new-generation index pages
-//     alike are dead weight, and the rebuilt index starts one clean
-//     generation.
+//  3. Old index-zone record pages are deliberately ignored: they carry
+//     no live accounting after recovery, so GC reclaims them wholesale.
+//     This also makes recovery immune to an interrupted RHIK resize:
+//     old- and new-generation index pages alike are dead weight, and the
+//     rebuilt index starts one clean generation.
+//
+// This full scan is the restart path whenever no device checkpoint
+// restores (checkpointing disabled, no valid slot, or a journal tail
+// that cannot replay), clean shutdowns included: the index keeps no
+// directory copy of its own. With checkpointing enabled, recover() first
+// tries the checkpoint image + journal tail (DESIGN.md §8).
 //
 // The scan assumes the crash may have happened mid-operation:
 //
@@ -76,8 +80,8 @@ struct RecoveryStats {
   std::uint64_t pages_read = 0;
   /// 1 when the index was restored from a checkpoint + journal tail.
   std::uint64_t checkpoint_restored = 0;
-  /// 1 when checkpointing was enabled but recovery had to full-scan
-  /// (no valid slot, torn journal tail, or a resize barrier).
+  /// 1 whenever recovery full-scanned (checkpointing disabled, no valid
+  /// slot, or a journal tail that could not replay).
   std::uint64_t full_scan_fallback = 0;
   std::uint64_t journal_pages_replayed = 0;
   std::uint64_t journal_records_replayed = 0;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/sim_clock.hpp"
 #include "flash/nand.hpp"
 #include "ftl/gc.hpp"
@@ -42,5 +44,15 @@ struct IndexRig {
   IndexT index;
   ftl::GarbageCollector gc;
 };
+
+/// The index's mapping for `sig` through its one lookup, lookup(). A
+/// lookup error fails the calling test and reads as unmapped.
+template <typename IndexT>
+std::optional<flash::Ppa> mapped(IndexT& index, std::uint64_t sig) {
+  const auto r = index.lookup(sig);
+  EXPECT_TRUE(r) << "lookup of " << sig << " failed";
+  if (!r) return std::nullopt;
+  return *r;
+}
 
 }  // namespace rhik::testutil

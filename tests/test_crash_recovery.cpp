@@ -352,8 +352,8 @@ TEST(CrashRecovery, CutInsideIndexMigrationQuantumKeepsFloor) {
   // Incremental doubling drains in background quanta, so a cut routinely
   // lands between bucket migrations: the resize record journaled, some
   // buckets' migrate records durable, others not. Walk the cut across
-  // the first destructive ops of the drain (record-page write-backs,
-  // journal flushes, directory checkpoints) and require the floor intact
+  // the first destructive ops of the drain (record-page write-backs and
+  // journal flushes) and require the floor intact
   // whichever restart path the surviving state allows.
   for (const std::uint32_t arm : {1u, 2u, 3u, 4u}) {
     DeviceConfig cfg = crash_config();
@@ -830,7 +830,8 @@ TEST(CrashHarness, RandomizedCrashPointsWithCheckpointing) {
   EXPECT_GT(t.keys_touched, 200u);
   // Both restart paths must really have run: fast restores with journal
   // replay when a durable checkpoint survived the cut, and the full-scan
-  // fallback when one didn't (torn slot, torn journal tail, barrier).
+  // fallback when one didn't (torn slot, gapped journal tail, failed
+  // replay).
   EXPECT_GT(t.fast_restores, 0u);
   EXPECT_GT(t.full_scans, 0u);
   EXPECT_GT(t.journal_records_replayed, 0u);

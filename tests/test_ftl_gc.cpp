@@ -18,10 +18,11 @@ using flash::Ppa;
 /// Minimal in-RAM index standing in for RHIK during GC unit tests.
 class MockIndexHooks : public GcIndexHooks {
  public:
-  std::optional<Ppa> gc_lookup(std::uint64_t sig) override {
+  Result<std::optional<Ppa>> gc_lookup(std::uint64_t sig) override {
+    if (!ok(lookup_error)) return lookup_error;
     auto it = map.find(sig);
-    if (it == map.end()) return std::nullopt;
-    return it->second;
+    if (it == map.end()) return std::optional<Ppa>(std::nullopt);
+    return std::optional<Ppa>(it->second);
   }
   Status gc_update_location(std::uint64_t sig, Ppa new_ppa) override {
     map[sig] = new_ppa;
@@ -38,6 +39,8 @@ class MockIndexHooks : public GcIndexHooks {
 
   std::unordered_map<std::uint64_t, Ppa> map;
   std::unordered_map<Ppa, bool> live_index_pages;
+  /// When set, every gc_lookup fails with it (an unreadable index page).
+  Status lookup_error = Status::kOk;
   int relocations = 0;
   int index_relocations = 0;
 };
@@ -219,6 +222,38 @@ TEST_F(GcTest, CollectReportsNoProgressOnFullyLiveDevice) {
   while (alloc_.free_blocks() > 3) put(sig++, value);
   const Status s = gc_.collect(6);
   EXPECT_EQ(s, Status::kDeviceFull);
+}
+
+TEST_F(GcTest, FailedLookupStopsCollectionAndKeepsVictim) {
+  // A lookup that fails may hide a live pair: the collector must return
+  // the error, not treat the pair as stale and erase the block under it.
+  const std::string value(400, 'v');
+  std::uint64_t sig = 1;
+  while (!alloc_.pick_victim().has_value()) put(sig++, value);
+  for (std::uint64_t s = 1; s < sig; s += 2) del(s, value.size());
+  ASSERT_EQ(store_.flush(), Status::kOk);  // the victim's last page too
+  const auto victim = alloc_.pick_victim();
+  ASSERT_TRUE(victim);
+  const std::uint32_t programmed = nand_.pages_programmed(*victim);
+  const std::uint32_t free_before = alloc_.free_blocks();
+
+  hooks_.lookup_error = Status::kIoError;
+  EXPECT_EQ(gc_.collect_one(), Status::kIoError);
+  EXPECT_EQ(gc_.stats().blocks_reclaimed, 0u);
+  EXPECT_EQ(nand_.pages_programmed(*victim), programmed);
+  EXPECT_EQ(alloc_.free_blocks(), free_before);
+  EXPECT_EQ(hooks_.relocations, 0);
+  for (std::uint64_t s = 2; s < sig; s += 2) {
+    Bytes k, v;
+    ASSERT_EQ(store_.read_pair(hooks_.map.at(s), s, &k, &v), Status::kOk) << s;
+    EXPECT_EQ(rhik::to_string(v), value);
+  }
+
+  // Once the index reads again, the same victim collects normally.
+  hooks_.lookup_error = Status::kOk;
+  ASSERT_EQ(gc_.collect_one(), Status::kOk);
+  EXPECT_EQ(gc_.stats().blocks_reclaimed, 1u);
+  EXPECT_GT(hooks_.relocations, 0);
 }
 
 TEST_F(GcTest, ChurnStressKeepsAllLiveDataReadable) {

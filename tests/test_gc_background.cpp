@@ -24,10 +24,10 @@ using flash::Ppa;
 /// Minimal in-RAM index standing in for RHIK (same shape as test_ftl_gc).
 class MockIndexHooks : public GcIndexHooks {
  public:
-  std::optional<Ppa> gc_lookup(std::uint64_t sig) override {
+  Result<std::optional<Ppa>> gc_lookup(std::uint64_t sig) override {
     auto it = map.find(sig);
-    if (it == map.end()) return std::nullopt;
-    return it->second;
+    if (it == map.end()) return std::optional<Ppa>(std::nullopt);
+    return std::optional<Ppa>(it->second);
   }
   Status gc_update_location(std::uint64_t sig, Ppa new_ppa) override {
     map[sig] = new_ppa;

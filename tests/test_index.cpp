@@ -1,0 +1,69 @@
+// Contract tests every IIndex scheme meets, run over RHIK and the
+// multi-level hash baseline alike.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <type_traits>
+
+#include "common/rng.hpp"
+#include "flash/fault_injector.hpp"
+#include "index/mlhash/mlhash_index.hpp"
+#include "index/rhik/rhik_index.hpp"
+#include "index_test_rig.hpp"
+
+namespace rhik::index {
+namespace {
+
+// Each scheme is sized so that its first probe reaches exactly four
+// record pages (RHIK: four directory buckets; mlhash: four level-0
+// pages), so a small insert burst leaves four dirty cached tables.
+struct Rhik {
+  using Rig = testutil::IndexRig<RhikIndex, RhikConfig>;
+  static RhikConfig config() {
+    RhikConfig cfg;
+    cfg.anticipated_keys = 4 * cfg.records_per_page(flash::Geometry::tiny().page_size);
+    return cfg;
+  }
+};
+struct MlHash {
+  using Rig = testutil::IndexRig<MlHashIndex, MlHashConfig>;
+  static MlHashConfig config() {
+    MlHashConfig cfg;
+    cfg.level0_pages = 4;
+    return cfg;
+  }
+};
+
+struct SchemeName {
+  template <typename T>
+  static std::string GetName(int) {
+    return std::is_same_v<T, Rhik> ? "Rhik" : "MlHash";
+  }
+};
+
+template <typename Scheme>
+class IndexContract : public ::testing::Test {};
+using Schemes = ::testing::Types<Rhik, MlHash>;
+TYPED_TEST_SUITE(IndexContract, Schemes, SchemeName);
+
+TYPED_TEST(IndexContract, FlushReturnsFailedWriteBack) {
+  // flush() is a durability barrier: when a write-back it ran failed, it
+  // says so. Power dies during the first write-back's program; the other
+  // three are rejected while it is off.
+  typename TypeParam::Rig rig(TypeParam::config());
+  Rng rng(3);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(rig.index.put(rng.next(), i), Status::kOk) << i;
+  }
+  ASSERT_EQ(rig.nand.stats().page_programs, 0u);  // all still cached, dirty
+  flash::FaultInjector fi;
+  rig.nand.set_fault_injector(&fi);
+  fi.arm_after(1, flash::TornWritePolicy::kNone);
+  EXPECT_EQ(rig.index.flush(), Status::kIoError);
+  EXPECT_TRUE(fi.powered_off());
+  EXPECT_EQ(rig.index.op_stats().writeback_failures, 4u);
+  rig.nand.set_fault_injector(nullptr);
+}
+
+}  // namespace
+}  // namespace rhik::index

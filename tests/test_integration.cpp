@@ -128,28 +128,30 @@ TEST(Integration, RestartFromDirectoryCheckpoint) {
       const std::uint64_t sig = hash::murmur2_64(k);
       auto ppa = store.write_pair(sig, k, as_bytes(v));
       ASSERT_TRUE(ppa);
-      if (auto old = index.get(sig)) {
-        store.note_stale(*old, ftl::FlashKvStore::pair_bytes(k.size(), v.size()));
+      const auto old = index.lookup(sig);
+      ASSERT_TRUE(old);
+      if (*old) {
+        store.note_stale(**old, ftl::FlashKvStore::pair_bytes(k.size(), v.size()));
       }
       ASSERT_EQ(index.put(sig, *ppa), Status::kOk);
       ref[id] = v;
     }
     ASSERT_EQ(store.flush(), Status::kOk);
     ASSERT_EQ(index.flush(), Status::kOk);
-    dir_image = index.serialize_directory();
+    ASSERT_EQ(index.serialize_image(dir_image), Status::kOk);
   }
 
   // "Restart": new index object over the same NAND + allocator state.
   index::RhikIndex revived(&nand, &alloc, cfg, 1 << 20);
-  ASSERT_EQ(revived.load_directory(dir_image), Status::kOk);
+  ASSERT_EQ(revived.load_image(dir_image), Status::kOk);
   EXPECT_EQ(revived.size(), ref.size());
   for (const auto& [id, v] : ref) {
     const Bytes k = workload::key_for_id(id, 16);
     const std::uint64_t sig = hash::murmur2_64(k);
-    const auto ppa = revived.get(sig);
-    ASSERT_TRUE(ppa.has_value()) << id;
+    const auto ppa = revived.lookup(sig);
+    ASSERT_TRUE(ppa && ppa->has_value()) << id;
     Bytes got_key, got_value;
-    ASSERT_EQ(store.read_pair(*ppa, sig, &got_key, &got_value), Status::kOk);
+    ASSERT_EQ(store.read_pair(**ppa, sig, &got_key, &got_value), Status::kOk);
     EXPECT_EQ(got_key, k);
     EXPECT_EQ(rhik::to_string(got_value), v);
   }

@@ -70,6 +70,49 @@ TEST(Kvssd, ExistIsIndexOnly) {
   EXPECT_EQ(dev.store().stats().pairs_read, data_reads);
 }
 
+TEST(Kvssd, ExistReportsIndexReadErrors) {
+  // exist() shares get()'s index lookup: with the record pages on flash
+  // and the power gone, a membership probe reports the read error, never
+  // "not found".
+  DeviceConfig cfg = small_config();
+  cfg.dram_cache_bytes = cfg.geometry.page_size;  // one cached record page
+  flash::FaultInjector fi;  // outlives dev, which holds it
+  KvssdDevice dev(cfg);
+  constexpr int kKeys = 1000;
+  const auto key_of = [](int i) { return "key-" + std::to_string(i); };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(dev.put(key(key_of(i)), key("v")), Status::kOk) << i;
+  }
+  ASSERT_EQ(dev.flush(), Status::kOk);
+  ASSERT_GT(dev.index().size(), 0u);
+  dev.nand().set_fault_injector(&fi);
+  fi.arm_after(1);
+  ASSERT_EQ(dev.put(key("cut"), key("v")), Status::kOk);  // buffered
+  EXPECT_NE(dev.flush(), Status::kOk);  // power dies programming it
+  ASSERT_TRUE(fi.powered_off());
+
+  // get() first: once a miss evicts the page the cut's put cached, no
+  // record page is in DRAM and every lookup has to read flash.
+  Bytes value;
+  int get_errors = 0;
+  int exist_errors = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    get_errors += dev.get(key(key_of(i)), &value) == Status::kIoError;
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    exist_errors += dev.exist(key(key_of(i))) == Status::kIoError;
+  }
+  EXPECT_EQ(get_errors, kKeys);
+  EXPECT_EQ(exist_errors, kKeys);
+
+  // Power back: every key exists again.
+  fi.power_on();
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(dev.exist(key(key_of(i))), Status::kOk) << i;
+  }
+  dev.nand().set_fault_injector(nullptr);
+}
+
 TEST(Kvssd, InvalidArgumentsRejected) {
   KvssdDevice dev(small_config());
   Bytes value;

@@ -14,6 +14,7 @@ namespace {
 
 using flash::Geometry;
 using flash::NandLatency;
+using testutil::mapped;
 
 struct Rig : testutil::IndexRig<MlHashIndex, MlHashConfig> {
   explicit Rig(MlHashConfig cfg = {}, std::uint64_t cache_bytes = 1 << 20,
@@ -24,9 +25,9 @@ struct Rig : testutil::IndexRig<MlHashIndex, MlHashConfig> {
 TEST(MlHash, PutGetErase) {
   Rig rig;
   EXPECT_EQ(rig.index.put(10, 111), Status::kOk);
-  ASSERT_TRUE(rig.index.get(10).has_value());
-  EXPECT_EQ(*rig.index.get(10), 111u);
-  EXPECT_FALSE(rig.index.get(11).has_value());
+  ASSERT_TRUE(mapped(rig.index, 10).has_value());
+  EXPECT_EQ(*mapped(rig.index, 10), 111u);
+  EXPECT_FALSE(mapped(rig.index, 11).has_value());
   EXPECT_EQ(rig.index.erase(10), Status::kOk);
   EXPECT_EQ(rig.index.erase(10), Status::kNotFound);
 }
@@ -36,7 +37,7 @@ TEST(MlHash, UpdateStaysAtItsLevel) {
   ASSERT_EQ(rig.index.put(42, 1), Status::kOk);
   ASSERT_EQ(rig.index.put(42, 2), Status::kOk);
   EXPECT_EQ(rig.index.size(), 1u);
-  EXPECT_EQ(*rig.index.get(42), 2u);
+  EXPECT_EQ(*mapped(rig.index, 42), 2u);
 }
 
 TEST(MlHash, LevelSizesAreGeometric) {
@@ -76,14 +77,14 @@ TEST(MlHash, ColdLookupsCostUpToLevelsFlashReads) {
   }
   rig.index.reset_op_stats();
   Rng pick(5);
-  for (int i = 0; i < 500; ++i) rig.index.get(sigs[pick.next_below(sigs.size())]);
+  for (int i = 0; i < 500; ++i) mapped(rig.index, sigs[pick.next_below(sigs.size())]);
   const auto& h = rig.index.op_stats().reads_per_lookup;
   EXPECT_GT(h.percentile(99), 1.0);  // multi-read lookups (vs RHIK's <= 1)
   EXPECT_LE(h.max(), 8u);
 
   // Negative lookups probe every level.
   rig.index.reset_op_stats();
-  for (int i = 0; i < 100; ++i) rig.index.get(rng.next());
+  for (int i = 0; i < 100; ++i) mapped(rig.index, rng.next());
   EXPECT_GT(rig.index.op_stats().reads_per_lookup.mean(), 1.5);
 }
 
@@ -131,9 +132,11 @@ TEST(MlHash, ScanVisitsEverything) {
 TEST(MlHash, GcHooks) {
   Rig rig;
   ASSERT_EQ(rig.index.put(77, 500), Status::kOk);
-  ASSERT_TRUE(rig.index.gc_lookup(77).has_value());
+  const auto hit = rig.index.gc_lookup(77);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(*hit, std::optional<flash::Ppa>(500));
   EXPECT_EQ(rig.index.gc_update_location(77, 600), Status::kOk);
-  EXPECT_EQ(*rig.index.get(77), 600u);
+  EXPECT_EQ(*mapped(rig.index, 77), 600u);
   EXPECT_EQ(rig.index.gc_update_location(78, 1), Status::kNotFound);
 }
 
@@ -152,8 +155,8 @@ TEST(MlHash, DirtyPagesSurviveEvictionWriteback) {
   EXPECT_GT(rig.index.op_stats().flash_writes, 0u);
   rig.expect_no_lost_writebacks();
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value());
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value());
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 
@@ -180,7 +183,7 @@ TEST(MlHash, RandomOpsAgreeWithReference) {
       const std::uint64_t ppa = rng.next_below(1 << 20);
       if (ok(rig.index.put(sig, ppa))) ref[sig] = ppa;
     } else if (action < 8) {
-      const auto got = rig.index.get(sig);
+      const auto got = mapped(rig.index, sig);
       const auto it = ref.find(sig);
       if (it == ref.end()) {
         EXPECT_FALSE(got.has_value());

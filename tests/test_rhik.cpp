@@ -15,15 +15,16 @@ namespace {
 using flash::Geometry;
 using flash::NandLatency;
 using flash::Ppa;
+using testutil::mapped;
 using Rig = testutil::IndexRig<RhikIndex, RhikConfig>;
 
 TEST(Rhik, PutGetErase) {
   Rig rig;
   EXPECT_EQ(rig.index.put(0xABC, 5), Status::kOk);
   EXPECT_EQ(rig.index.size(), 1u);
-  ASSERT_TRUE(rig.index.get(0xABC).has_value());
-  EXPECT_EQ(*rig.index.get(0xABC), 5u);
-  EXPECT_FALSE(rig.index.get(0xDEF).has_value());
+  ASSERT_TRUE(mapped(rig.index, 0xABC).has_value());
+  EXPECT_EQ(*mapped(rig.index, 0xABC), 5u);
+  EXPECT_FALSE(mapped(rig.index, 0xDEF).has_value());
   EXPECT_EQ(rig.index.erase(0xABC), Status::kOk);
   EXPECT_EQ(rig.index.erase(0xABC), Status::kNotFound);
   EXPECT_EQ(rig.index.size(), 0u);
@@ -34,14 +35,14 @@ TEST(Rhik, PutUpdatesInPlace) {
   EXPECT_EQ(rig.index.put(7, 100), Status::kOk);
   EXPECT_EQ(rig.index.put(7, 200), Status::kOk);
   EXPECT_EQ(rig.index.size(), 1u);
-  EXPECT_EQ(*rig.index.get(7), 200u);
+  EXPECT_EQ(*mapped(rig.index, 7), 200u);
 }
 
 TEST(Rhik, ExistsIsSignatureMembership) {
   Rig rig;
   ASSERT_EQ(rig.index.put(123, 9), Status::kOk);
-  EXPECT_TRUE(rig.index.exists(123));
-  EXPECT_FALSE(rig.index.exists(321));
+  EXPECT_TRUE(mapped(rig.index, 123).has_value());
+  EXPECT_FALSE(mapped(rig.index, 321).has_value());
 }
 
 TEST(Rhik, InitialSizingFollowsEq2) {
@@ -69,7 +70,7 @@ TEST(Rhik, AtMostOneFlashReadPerLookup) {
   rig.index.reset_op_stats();
   Rng pick(5);
   for (int i = 0; i < 2000; ++i) {
-    rig.index.get(sigs[pick.next_below(sigs.size())]);
+    mapped(rig.index, sigs[pick.next_below(sigs.size())]);
   }
   rig.expect_no_lost_writebacks();
   const auto& h = rig.index.op_stats().reads_per_lookup;
@@ -84,7 +85,7 @@ TEST(Rhik, WarmCacheLookupsAreFree) {
   }
   rig.index.reset_op_stats();
   for (std::uint64_t i = 1; i <= 100; ++i) {
-    ASSERT_TRUE(rig.index.get(i * 77).has_value());
+    ASSERT_TRUE(mapped(rig.index, i * 77).has_value());
   }
   EXPECT_EQ(rig.index.op_stats().flash_reads, 0u);
   EXPECT_EQ(rig.index.op_stats().reads_per_lookup.max(), 0u);
@@ -103,8 +104,8 @@ TEST(Rhik, DirtyTablesSurviveEviction) {
   }
   EXPECT_GT(rig.index.op_stats().flash_writes, 0u);
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 
@@ -122,7 +123,7 @@ TEST(Rhik, EraseToEmptyReleasesPages) {
   EXPECT_EQ(rig.index.size(), 0u);
   ASSERT_EQ(rig.index.flush(), Status::kOk);
   // All directory entries are back to "no page".
-  for (const auto sig : sigs) EXPECT_FALSE(rig.index.get(sig).has_value());
+  for (const auto sig : sigs) EXPECT_FALSE(mapped(rig.index, sig).has_value());
 }
 
 TEST(Rhik, CollisionAbortSurfacesAndCounts) {
@@ -157,12 +158,15 @@ TEST(Rhik, ScanVisitsEveryRecordOnce) {
 TEST(Rhik, GcHooksLookupAndUpdate) {
   Rig rig;
   ASSERT_EQ(rig.index.put(55, 1000), Status::kOk);
-  ASSERT_TRUE(rig.index.gc_lookup(55).has_value());
-  EXPECT_EQ(*rig.index.gc_lookup(55), 1000u);
-  EXPECT_FALSE(rig.index.gc_lookup(56).has_value());
+  const auto hit = rig.index.gc_lookup(55);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(*hit, std::optional<Ppa>(1000));
+  const auto miss = rig.index.gc_lookup(56);
+  ASSERT_TRUE(miss);
+  EXPECT_FALSE(miss->has_value());
 
   EXPECT_EQ(rig.index.gc_update_location(55, 2000), Status::kOk);
-  EXPECT_EQ(*rig.index.get(55), 2000u);
+  EXPECT_EQ(*mapped(rig.index, 55), 2000u);
   EXPECT_EQ(rig.index.gc_update_location(999, 1), Status::kNotFound);
 }
 
@@ -192,8 +196,9 @@ TEST(Rhik, GcIndexPageLivenessAndRelocation) {
 }
 
 TEST(Rhik, DirectorySerializationRestoresIndex) {
-  // Clean-shutdown persistence: flush, serialize the directory, build a
-  // fresh in-DRAM index over the same flash state, restore.
+  // Directory image round trip (what the device checkpoint stores):
+  // flush, serialize the image, build a fresh in-DRAM index over the
+  // same flash state, restore.
   RhikConfig cfg;
   SimClock clock;
   flash::NandDevice nand(Geometry::tiny(128), NandLatency::kvemu_defaults(), &clock);
@@ -209,23 +214,23 @@ TEST(Rhik, DirectorySerializationRestoresIndex) {
       if (ok(index.put(sig, i))) ref[sig] = i;
     }
     ASSERT_EQ(index.flush(), Status::kOk);
-    image = index.serialize_directory();
+    ASSERT_EQ(index.serialize_image(image), Status::kOk);
   }
   RhikIndex restored(&nand, &alloc, cfg, 1 << 20);
-  ASSERT_EQ(restored.load_directory(image), Status::kOk);
+  ASSERT_EQ(restored.load_image(image), Status::kOk);
   EXPECT_EQ(restored.size(), ref.size());
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(restored.get(sig).has_value()) << sig;
-    EXPECT_EQ(*restored.get(sig), ppa);
+    ASSERT_TRUE(mapped(restored, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(restored, sig), ppa);
   }
 }
 
 TEST(Rhik, LoadDirectoryRejectsGarbage) {
   Rig rig;
   Bytes garbage(100, 0x7);
-  EXPECT_EQ(rig.index.load_directory(garbage), Status::kCorruption);
+  EXPECT_EQ(rig.index.load_image(garbage), Status::kCorruption);
   Bytes tiny_buf(4, 0);
-  EXPECT_EQ(rig.index.load_directory(tiny_buf), Status::kCorruption);
+  EXPECT_EQ(rig.index.load_image(tiny_buf), Status::kCorruption);
 }
 
 TEST(Rhik, DramBytesTracksDirectory) {
@@ -284,7 +289,7 @@ struct UndecodedRig {
   /// second miss keeps the page view.
   void cache_undecoded(std::uint64_t bucket, std::uint64_t other) {
     for (const std::uint64_t b : {other, bucket, other, bucket}) {
-      ASSERT_EQ(rig.index.get(key_in(b)), std::optional<Ppa>(ref.at(key_in(b))));
+      ASSERT_EQ(mapped(rig.index, key_in(b)), std::optional<Ppa>(ref.at(key_in(b))));
     }
   }
 
@@ -306,7 +311,7 @@ struct UndecodedRig {
 
   void expect_agrees_with_reference() {
     for (const auto& [sig, ppa] : ref) {
-      ASSERT_EQ(rig.index.get(sig), std::optional<Ppa>(ppa)) << sig;
+      ASSERT_EQ(mapped(rig.index, sig), std::optional<Ppa>(ppa)) << sig;
     }
     EXPECT_EQ(rig.index.size(), ref.size());
     EXPECT_EQ(rig.index.op_stats().reads_per_lookup.max(), 1u);
@@ -325,7 +330,7 @@ TEST(Rhik, UndecodedEntryTakesPutAndErase) {
   t.cache_undecoded(a, b);
   ASSERT_EQ(t.rig.index.put(fresh, 5000), Status::kOk);  // insert
   t.ref[fresh] = 5000;
-  EXPECT_EQ(t.rig.index.get(fresh), std::optional<Ppa>(5000));
+  EXPECT_EQ(mapped(t.rig.index, fresh), std::optional<Ppa>(5000));
 
   const std::uint64_t updated = t.key_in(a);
   t.cache_undecoded(a, b);
@@ -342,7 +347,7 @@ TEST(Rhik, UndecodedEntryTakesPutAndErase) {
   t.cache_undecoded(a, b);
   ASSERT_EQ(t.rig.index.erase(erased), Status::kOk);
   t.ref.erase(erased);
-  EXPECT_FALSE(t.rig.index.get(erased).has_value());
+  EXPECT_FALSE(mapped(t.rig.index, erased).has_value());
   t.expect_agrees_with_reference();
 }
 
@@ -359,7 +364,7 @@ TEST(Rhik, RelocatesPageOfUndecodedEntry) {
     const std::uint64_t sig = t.fresh_key_in(a);
     ASSERT_EQ(t.rig.index.put(sig, 6000 + cycle), Status::kOk);
     t.ref[sig] = 6000 + cycle;
-    ASSERT_TRUE(t.rig.index.get(t.key_in(b)).has_value());  // evicts a: write-back
+    ASSERT_TRUE(mapped(t.rig.index, t.key_in(b)).has_value());  // evicts a: write-back
     page = t.live_page_of(a);
     if (cycle >= g.pages_per_block && flash::ppa_page(g, page) == g.pages_per_block - 1) {
       break;
@@ -376,7 +381,7 @@ TEST(Rhik, RelocatesPageOfUndecodedEntry) {
   // As GC does next: the block goes, and the cached entry must not read it.
   ASSERT_EQ(t.rig.alloc.reclaim_block(block), Status::kOk);
   const auto hits = t.rig.index.cache_stats().hits;
-  EXPECT_EQ(t.rig.index.get(t.key_in(a)), std::optional<Ppa>(t.ref.at(t.key_in(a))));
+  EXPECT_EQ(mapped(t.rig.index, t.key_in(a)), std::optional<Ppa>(t.ref.at(t.key_in(a))));
   EXPECT_EQ(t.rig.index.cache_stats().hits, hits + 1);
   t.expect_agrees_with_reference();
 }
@@ -392,7 +397,7 @@ TEST(Rhik, RecountKeysCountsUndecodedEntry) {
   while (t.keys_in(c) == t.keys_in(a)) ++c;
   ASSERT_LT(c, 4u);
   for (const std::uint64_t bucket : {b, a, c, a}) {
-    ASSERT_EQ(t.rig.index.get(t.key_in(bucket)),
+    ASSERT_EQ(mapped(t.rig.index, t.key_in(bucket)),
               std::optional<Ppa>(t.ref.at(t.key_in(bucket))));
   }
   ASSERT_EQ(t.rig.index.recount_keys(), Status::kOk);
@@ -406,7 +411,8 @@ TEST(Rhik, FirstMissValidatesWholePage) {
   const std::uint64_t sig = 0xABC;
   ASSERT_EQ(rig.index.put(sig, 5), Status::kOk);
   ASSERT_EQ(rig.index.flush(), Status::kOk);
-  Bytes image = rig.index.serialize_directory();
+  Bytes image;
+  ASSERT_EQ(rig.index.serialize_image(image), Status::kOk);
 
   const auto& g = rig.nand.geometry();
   const RhikConfig& cfg = rig.index.config();
@@ -426,7 +432,7 @@ TEST(Rhik, FirstMissValidatesWholePage) {
   ASSERT_EQ(rig.nand.program_page(*ppa, page, spare), Status::kOk);
   ASSERT_EQ(rig.index.dir_bits(), 0u);
   put_u40(image, 20, *ppa);  // bucket 0's directory entry
-  ASSERT_EQ(rig.index.load_directory(image), Status::kOk);
+  ASSERT_EQ(rig.index.load_image(image), Status::kOk);
 
   EXPECT_EQ(codec.find(page, sig).status(), Status::kOk);  // locally intact
   EXPECT_EQ(rig.index.lookup(sig).status(), Status::kCorruption);
@@ -447,7 +453,7 @@ TEST(Rhik, RandomOpsAgreeWithReference) {
       const std::uint64_t ppa = rng.next_below(1 << 20);
       if (ok(rig.index.put(sig, ppa))) ref[sig] = ppa;
     } else if (action < 8) {
-      const auto got = rig.index.get(sig);
+      const auto got = mapped(rig.index, sig);
       const auto it = ref.find(sig);
       if (it == ref.end()) {
         EXPECT_FALSE(got.has_value()) << "step " << step;

@@ -12,6 +12,7 @@
 namespace rhik::index {
 namespace {
 
+using testutil::mapped;
 using Rig = testutil::IndexRig<RhikIndex, RhikConfig>;
 
 RhikConfig overflow_config() {
@@ -59,12 +60,12 @@ TEST(RhikOverflow, OverflowRecordsFullyFunctional) {
   EXPECT_EQ(rig.index.size(), ref.size());
   // Every mapping — primary or overflow — resolves, updates and erases.
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
   for (const auto& [sig, ppa] : ref) {
     ASSERT_EQ(rig.index.put(sig, ppa + 1), Status::kOk);
-    EXPECT_EQ(*rig.index.get(sig), ppa + 1);
+    EXPECT_EQ(*mapped(rig.index, sig), ppa + 1);
   }
   for (const auto& [sig, _] : ref) {
     ASSERT_EQ(rig.index.erase(sig), Status::kOk);
@@ -87,7 +88,7 @@ TEST(RhikOverflow, LookupsCostAtMostTwoReads) {
   rig.index.reset_op_stats();
   Rng pick(11);
   for (int i = 0; i < 500; ++i) {
-    rig.index.get(sigs[pick.next_below(sigs.size())]);
+    mapped(rig.index, sigs[pick.next_below(sigs.size())]);
   }
   const auto& h = rig.index.op_stats().reads_per_lookup;
   EXPECT_LE(h.max(), 2u);   // the documented trade-off: <= 2, not <= 1
@@ -118,8 +119,8 @@ TEST(RhikOverflow, UpdateWithSinglePageCacheKeepsCountsExact) {
   EXPECT_EQ(rig.index.size(), ref.size());
   rig.expect_no_lost_writebacks();
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 
@@ -156,7 +157,7 @@ TEST(RhikOverflow, ResizeDrainsOverflowPages) {
   }
   EXPECT_EQ(rig.index.op_stats().collision_aborts, 0u);
   for (const auto& [sig, _] : ref) {
-    EXPECT_TRUE(rig.index.get(sig).has_value()) << sig;
+    EXPECT_TRUE(mapped(rig.index, sig).has_value()) << sig;
   }
 }
 
@@ -178,14 +179,14 @@ TEST(RhikOverflow, SerializationRoundTripsOverflowDirectory) {
     ASSERT_GT(index.op_stats().overflow_inserts, 0u);
     ASSERT_EQ(index.flush(), Status::kOk);
     EXPECT_GT(index.overflow_pages(), 0u);
-    image = index.serialize_directory();
+    ASSERT_EQ(index.serialize_image(image), Status::kOk);
   }
   RhikIndex restored(&nand, &alloc, cfg, 1 << 20);
-  ASSERT_EQ(restored.load_directory(image), Status::kOk);
+  ASSERT_EQ(restored.load_image(image), Status::kOk);
   EXPECT_EQ(restored.size(), ref.size());
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(restored.get(sig).has_value()) << sig;
-    EXPECT_EQ(*restored.get(sig), ppa);
+    ASSERT_TRUE(mapped(restored, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(restored, sig), ppa);
   }
 }
 
@@ -201,8 +202,8 @@ TEST(RhikOverflow, GcRelocatesOverflowPages) {
   ASSERT_GT(rig.gc.stats().blocks_reclaimed, 0u);
   rig.expect_no_lost_writebacks();
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 

@@ -17,6 +17,7 @@ namespace {
 using flash::Geometry;
 using flash::NandLatency;
 using flash::Ppa;
+using testutil::mapped;
 
 struct Rig : testutil::IndexRig<RhikIndex, RhikConfig> {
   explicit Rig(RhikConfig cfg = {}, std::uint64_t cache_bytes = 1 << 20,
@@ -84,8 +85,8 @@ TEST(RhikResize, AllMappingsSurviveManyDoublings) {
   EXPECT_GE(rig.index.dir_bits(), 6u);
   EXPECT_EQ(rig.index.size(), ref.size());
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 
@@ -132,14 +133,15 @@ TEST(RhikResize, MigrationNeverTouchesKvPairs) {
   fill_through_resizes(rig, 4);
   const auto& g = rig.nand.geometry();
   Bytes spare(g.spare_size());
-  // Every programmed page in this rig is index-zone (no data was ever
-  // written), which proves migration derived everything from the index.
+  // Every programmed page in this rig is a record page: no data was
+  // ever written, which proves migration derived everything from the
+  // index, and the index programs no directory copy of its own (the
+  // device checkpoint holds the one durable image).
   for (Ppa p = 0; p < g.pages_total(); ++p) {
     if (!rig.nand.is_programmed(p)) continue;
     ASSERT_EQ(rig.nand.read_page(p, {}, spare), Status::kOk);
-    const auto tag = ftl::SpareTag::decode(spare);
-    EXPECT_TRUE(tag.kind == ftl::PageKind::kIndexRecord ||
-                tag.kind == ftl::PageKind::kIndexDir);
+    EXPECT_EQ(ftl::SpareTag::decode(spare).kind, ftl::PageKind::kIndexRecord)
+        << "page " << p;
   }
 }
 
@@ -175,8 +177,8 @@ TEST(RhikResize, IncrementalModeAnswersQueriesMidMigration) {
   ASSERT_TRUE(rig.index.migration_active());
   // Mid-migration: every existing mapping must be visible.
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 
@@ -197,8 +199,8 @@ TEST(RhikResize, IncrementalModeCompletesAndPreservesAll) {
   EXPECT_FALSE(rig.index.migration_active());
   EXPECT_GE(rig.index.op_stats().resizes, 1u);
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 
@@ -229,10 +231,10 @@ TEST(RhikResize, ErasesDuringMigrationLandCorrectly) {
   }
   EXPECT_EQ(rig.index.size(), sigs.size() - erased);
   for (std::size_t i = 1; i < sigs.size(); i += 2) {
-    EXPECT_TRUE(rig.index.get(sigs[i]).has_value());
+    EXPECT_TRUE(mapped(rig.index, sigs[i]).has_value());
   }
   for (std::size_t i = 0; i < sigs.size(); i += 2) {
-    EXPECT_FALSE(rig.index.get(sigs[i]).has_value());
+    EXPECT_FALSE(mapped(rig.index, sigs[i]).has_value());
   }
 }
 
@@ -256,8 +258,8 @@ TEST(RhikResize, GrowthPastDirBitsCapReturnsIndexFull) {
   EXPECT_EQ(rig.index.dir_bits(), 1u);
   // The index still serves everything it already holds.
   for (const auto& [sig, ppa] : ref) {
-    ASSERT_TRUE(rig.index.get(sig).has_value()) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa);
+    ASSERT_TRUE(mapped(rig.index, sig).has_value()) << sig;
+    EXPECT_EQ(*mapped(rig.index, sig), ppa);
   }
 }
 
@@ -283,7 +285,7 @@ TEST(RhikResize, UpdatesOfExistingKeysSucceedAtDirBitsCap) {
   const std::uint64_t keys = rig.index.size();
   for (const auto& [sig, ppa] : ref) {
     ASSERT_EQ(rig.index.put(sig, ppa + 1000), Status::kOk) << sig;
-    EXPECT_EQ(*rig.index.get(sig), ppa + 1000);
+    EXPECT_EQ(*mapped(rig.index, sig), ppa + 1000);
   }
   EXPECT_EQ(rig.index.size(), keys);  // overwrites added nothing
   EXPECT_EQ(rig.index.op_stats().index_full, 0u);
@@ -303,7 +305,8 @@ TEST(RhikResize, ReplayRejectedRepointAfterMigrateForcesFullScan) {
   Rng rng(17);
   while (rig.index.size() < 150) rig.index.put(rng.next(), rig.index.size());
   ASSERT_EQ(rig.index.flush(), Status::kOk);
-  const Bytes image0 = rig.index.serialize_directory();  // gen 0, bits 0
+  Bytes image0;  // gen 0, bits 0
+  ASSERT_EQ(rig.index.serialize_image(image0), Status::kOk);
 
   // Grow through one full doubling so genuine new-generation record
   // pages exist on flash to stand in for P2.
@@ -311,7 +314,8 @@ TEST(RhikResize, ReplayRejectedRepointAfterMigrateForcesFullScan) {
   drain_migration(rig);
   ASSERT_EQ(rig.index.flush(), Status::kOk);
   ASSERT_EQ(rig.index.dir_bits(), 1u);
-  const Bytes image1 = rig.index.serialize_directory();  // gen 1, bits 1
+  Bytes image1;  // gen 1, bits 1
+  ASSERT_EQ(rig.index.serialize_image(image1), Status::kOk);
   const Ppa target = get_u40(image1, 20);  // new-gen bucket 0 record page
   ASSERT_NE(target, flash::kInvalidPpa);
 

@@ -127,8 +127,8 @@ TEST(Sharded, FlushBarrierCoversAllShards) {
   for (int i = 0; i < kOps; ++i) {
     EXPECT_EQ(arr.get(workload::key_for_id(i, 16), &v), Status::kOk) << i;
   }
-  // ...and every shard persisted index state (directory checkpoint +
-  // dirty record pages hit flash during the flush).
+  // ...and every shard persisted index state (its dirty record pages hit
+  // flash during the flush).
   arr.drain();
   for (std::uint32_t s = 0; s < arr.num_shards(); ++s) {
     EXPECT_GT(arr.shard_device(s).index().op_stats().flash_writes, 0u)
