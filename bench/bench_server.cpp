@@ -142,8 +142,8 @@ double thread_cpu_s() {
          static_cast<double>(ts.tv_nsec) / 1e9;
 }
 
-/// CPU seconds burned by the whole process (every thread: server
-/// workers, shard workers, drivers). Robust against scheduler noise,
+/// CPU seconds burned by the whole process (every thread: the server
+/// loop, shard workers, drivers). Robust against scheduler noise,
 /// CPU steal and frequency drift in a way wall clock is not.
 double process_cpu_s() {
   timespec ts{};
@@ -437,7 +437,6 @@ int main(int argc, char** argv) {
   const std::size_t tenant_window = 16;
 
   net::ServerConfig scfg;
-  scfg.num_workers = 1;  // one event loop; the host decides core count
   // 1024 conns x window 64 = 65536 requests legitimately in flight;
   // leave the global brake well above the bench's working depth (the
   // admission path itself is exercised by the tenant phase and tests).

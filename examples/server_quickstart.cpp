@@ -23,10 +23,9 @@ int main() {
   opts.enable_iterator = true;
   api::KvsDevice dev(opts);
 
-  // Ephemeral port; one event-loop worker is plenty for a quickstart.
+  // Ephemeral port.
   net::ServerConfig scfg;
   scfg.port = 0;
-  scfg.num_workers = 1;
   net::KvServer server(dev, scfg);
   if (server.start() != Status::kOk) {
     std::fprintf(stderr, "server start failed\n");

@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/status.hpp"
 #include "obs/metrics.hpp"
 
 namespace rhik::cache {
@@ -43,9 +44,10 @@ struct CacheStats {
 template <typename K, typename V>
 class LruCache {
  public:
-  /// Called when a dirty entry leaves the cache (eviction or flush); the
-  /// owner persists it. Clean entries are dropped silently.
-  using WritebackFn = std::function<void(const K&, V&)>;
+  /// Called when a dirty entry leaves the cache (eviction) or is flushed;
+  /// the owner persists it and returns the outcome. Clean entries are
+  /// dropped silently.
+  using WritebackFn = std::function<Status(const K&, V&)>;
 
   /// `budget_bytes` / `entry_charge` bounds the entry count (min 1).
   LruCache(std::uint64_t budget_bytes, std::uint64_t entry_charge)
@@ -98,17 +100,7 @@ class LruCache {
   /// heap allocations instead of freeing them and allocating afresh.
   std::optional<V> take_lru_if_full() {
     if (map_.size() < capacity_) return std::nullopt;
-    assert(!lru_.empty());
-    Node& victim = lru_.back();
-    if (victim.dirty) {
-      if (writeback_) writeback_(victim.key, victim.value);
-      stats_.dirty_writebacks++;
-    }
-    stats_.evictions++;
-    std::optional<V> out{std::move(victim.value)};
-    map_.erase(victim.key);
-    lru_.pop_back();
-    return out;
+    return evict_lru();
   }
 
   void mark_dirty(const K& key) {
@@ -125,20 +117,29 @@ class LruCache {
     map_.erase(it);
   }
 
-  /// Writes back every dirty entry; entries stay cached (now clean).
-  void flush_all() {
+  /// Writes back every dirty entry; entries stay cached. An entry whose
+  /// write-back fails stays dirty, so a later flush writes it. Returns
+  /// the first failure, counting an eviction since the previous
+  /// flush_all() whose write-back failed: its updates left the cache
+  /// unwritten, so this flush cannot report them durable.
+  Status flush_all() {
+    Status first = std::exchange(evict_error_, Status::kOk);
     for (auto& node : lru_) {
-      if (node.dirty) {
-        if (writeback_) writeback_(node.key, node.value);
-        stats_.dirty_writebacks++;
+      if (!node.dirty) continue;
+      const Status s = writeback_ ? writeback_(node.key, node.value) : Status::kOk;
+      stats_.dirty_writebacks++;
+      if (ok(s)) {
         node.dirty = false;
+      } else if (ok(first)) {
+        first = s;
       }
     }
+    return first;
   }
 
   /// Drops everything, writing back dirty entries first.
   void clear() {
-    flush_all();
+    (void)flush_all();
     lru_.clear();
     map_.clear();
   }
@@ -161,22 +162,29 @@ class LruCache {
     bool dirty = false;
   };
 
-  void evict_lru() {
+  /// Removes the LRU entry, writing it back first if dirty, and returns
+  /// its value. The entry leaves the cache even when its write-back
+  /// fails; the next flush_all() reports that failure.
+  V evict_lru() {
     assert(!lru_.empty());
     Node& victim = lru_.back();
     if (victim.dirty) {
-      if (writeback_) writeback_(victim.key, victim.value);
+      const Status s = writeback_ ? writeback_(victim.key, victim.value) : Status::kOk;
+      if (!ok(s) && ok(evict_error_)) evict_error_ = s;
       stats_.dirty_writebacks++;
     }
     stats_.evictions++;
+    V out = std::move(victim.value);
     map_.erase(victim.key);
     lru_.pop_back();
+    return out;
   }
 
   std::uint64_t capacity_;
   std::list<Node> lru_;
   std::unordered_map<K, typename std::list<Node>::iterator> map_;
   WritebackFn writeback_;
+  Status evict_error_ = Status::kOk;  ///< first failed eviction write-back
   CacheStats stats_;
 };
 

@@ -65,8 +65,6 @@ class FaultInjector {
     armed_ = true;
   }
 
-  void disarm() noexcept { armed_ = false; }
-
   /// The next boot: power is back, countdown disarmed. NAND contents
   /// are untouched — volatile device state is the NandDevice's to lose.
   void power_on() noexcept {

@@ -148,10 +148,6 @@ class FlashKvStore {
   [[nodiscard]] std::optional<flash::Ppa> open_page() const noexcept {
     return hot_.ppa;
   }
-  /// The cold open page (GC relocations under cold separation), if any.
-  [[nodiscard]] std::optional<flash::Ppa> cold_open_page() const noexcept {
-    return cold_.ppa;
-  }
 
   /// Head-page sequence counter (global pair ordering for recovery).
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }

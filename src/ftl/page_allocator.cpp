@@ -91,6 +91,11 @@ Result<Ppa> PageAllocator::allocate_extent(Stream stream, std::uint32_t npages,
   return base;
 }
 
+void PageAllocator::program_failed(Ppa ppa) {
+  const std::uint32_t block = flash::ppa_block(nand_->geometry(), ppa);
+  if (blocks_[block].state == BlockState::kActive) seal(block);
+}
+
 void PageAllocator::add_live(Ppa ppa, std::uint64_t bytes) {
   blocks_[flash::ppa_block(nand_->geometry(), ppa)].live_bytes += bytes;
 }

@@ -57,6 +57,12 @@ class PageAllocator {
   Result<flash::Ppa> allocate_extent(Stream stream, std::uint32_t npages,
                                      bool for_gc = false);
 
+  /// Reports that the program of `ppa`, a page allocate() handed out,
+  /// failed. The NAND programs a block's pages in order only, so no later
+  /// page of that block can be programmed: the block is sealed and the
+  /// stream's next allocation opens a fresh one.
+  void program_failed(flash::Ppa ppa);
+
   // -- Liveness accounting ------------------------------------------------
   void add_live(flash::Ppa ppa, std::uint64_t bytes);
   void sub_live(flash::Ppa ppa, std::uint64_t bytes);

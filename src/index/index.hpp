@@ -157,23 +157,17 @@ class IIndex : public ftl::GcIndexHooks {
   [[nodiscard]] virtual const cache::CacheStats& cache_stats() const = 0;
 
   // -- Checkpointing hooks (DESIGN.md §8) ----------------------------------
-  /// Installs (or clears, with nullptr) the delta-record sink. Schemes
-  /// that support checkpointing report every durable mapping change.
-  virtual void set_journal(IndexJournal* journal) { (void)journal; }
+  /// Installs (or clears, with nullptr) the delta-record sink, which is
+  /// then told every durable mapping change.
+  virtual void set_journal(IndexJournal* journal) = 0;
 
   /// Serializes the scheme's DRAM-resident state (directories, metadata
-  /// page PPAs) into `out`. Empty result = not supported.
-  virtual Status serialize_image(Bytes& out) {
-    (void)out;
-    return Status::kUnsupported;
-  }
+  /// page PPAs) into `out`.
+  virtual Status serialize_image(Bytes& out) = 0;
 
   /// Restores state produced by serialize_image(). The caller owns
   /// allocator liveness accounting; this only rebuilds DRAM structures.
-  virtual Status load_image(ByteSpan image) {
-    (void)image;
-    return Status::kUnsupported;
-  }
+  virtual Status load_image(ByteSpan image) = 0;
 
   /// Replays a journal_repoint record: rewrites the slot's PPA
   /// (last-writer-wins, idempotent). No allocator liveness side effects.
@@ -186,12 +180,7 @@ class IIndex : public ftl::GcIndexHooks {
   /// pre-checkpoint (in the image's page) or in the journal tail.
   virtual Status apply_journal_repoint(
       std::uint64_t slot_key, flash::Ppa ppa,
-      const std::function<bool(flash::Ppa)>& data_durable = {}) {
-    (void)slot_key;
-    (void)ppa;
-    (void)data_durable;
-    return Status::kUnsupported;
-  }
+      const std::function<bool(flash::Ppa)>& data_durable = {}) = 0;
 
   /// True while a structural maintenance operation (incremental resize)
   /// is in flight; checkpoints are deferred until it completes.
@@ -253,7 +242,7 @@ class IIndex : public ftl::GcIndexHooks {
   /// growing index the drift is load-bearing — a low count starves the
   /// resize trigger until inserts physically fail with collision aborts
   /// on a table the threshold said had headroom.
-  virtual Status recount_keys() { return Status::kOk; }
+  virtual Status recount_keys() = 0;
 };
 
 }  // namespace rhik::index

@@ -53,13 +53,11 @@ MlHashIndex::MlHashIndex(flash::NandDevice* nand, ftl::PageAllocator* alloc,
     capacity_ += pages * codec_.records_per_page();
   }
   cache_.set_writeback([this](const std::uint64_t& key, CachedTable& v) {
-    // As in RhikIndex: counted, and the first failure kept for flush().
+    // As in RhikIndex: counted here, and flush() returns it.
     const Status s =
         write_table(key_level(key), key_page(key), v.table, /*for_gc=*/false);
-    if (!ok(s)) {
-      stats_.writeback_failures++;
-      if (ok(writeback_error_)) writeback_error_ = s;
-    }
+    if (!ok(s)) stats_.writeback_failures++;
+    return s;
   });
 }
 
@@ -119,18 +117,16 @@ Status MlHashIndex::write_table(std::uint32_t level, std::uint64_t page,
   Bytes spare(g.spare_size(), 0xFF);
   codec_.encode(table, buf);
   ftl::SpareTag{ftl::PageKind::kIndexRecord, ftl::Stream::kIndex}.encode(spare);
-  IndexPageSpare meta;
-  meta.generation = level;  // levels are static; reuse the field
-  meta.bucket = page;
-  meta.record_count = table.size();
-  meta.encode(spare);
 
   auto ppa = alloc_->allocate(ftl::Stream::kIndex, for_gc);
   if (!ppa && ppa.status() == Status::kDeviceFull && !for_gc) {
     ppa = alloc_->allocate(ftl::Stream::kIndex, /*for_gc=*/true);
   }
   if (!ppa) return ppa.status();
-  if (Status s = nand_->program_page(*ppa, buf, spare); !ok(s)) return s;
+  if (Status s = nand_->program_page(*ppa, buf, spare); !ok(s)) {
+    alloc_->program_failed(*ppa);
+    return s;
+  }
   stats_.flash_writes++;
 
   retire_old();
@@ -270,11 +266,7 @@ std::uint64_t MlHashIndex::dram_bytes() const {
   return bytes;
 }
 
-Status MlHashIndex::flush() {
-  writeback_error_ = Status::kOk;
-  cache_.flush_all();
-  return writeback_error_;
-}
+Status MlHashIndex::flush() { return cache_.flush_all(); }
 
 // -- Checkpointing -------------------------------------------------------------
 

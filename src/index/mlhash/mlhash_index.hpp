@@ -124,8 +124,6 @@ class MlHashIndex final : public IIndex {
 
   std::uint64_t num_keys_ = 0;
   IndexOpStats stats_;
-  /// First failed cache write-back since the last flush() began.
-  Status writeback_error_ = Status::kOk;
   IndexJournal* journal_ = nullptr;
 };
 

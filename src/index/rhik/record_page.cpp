@@ -5,24 +5,6 @@
 
 namespace rhik::index {
 
-void IndexPageSpare::encode(MutByteSpan spare) const noexcept {
-  assert(spare.size() >= kEncodedSize);
-  std::size_t off = ftl::SpareTag::kEncodedSize;  // tag written separately
-  put_u32(spare, off, generation); off += 4;
-  put_u64(spare, off, bucket); off += 8;
-  put_u32(spare, off, record_count);
-}
-
-IndexPageSpare IndexPageSpare::decode(ByteSpan spare) noexcept {
-  IndexPageSpare s;
-  if (spare.size() < kEncodedSize) return s;
-  std::size_t off = ftl::SpareTag::kEncodedSize;
-  s.generation = get_u32(spare, off); off += 4;
-  s.bucket = get_u64(spare, off); off += 8;
-  s.record_count = get_u32(spare, off);
-  return s;
-}
-
 RecordPageCodec::RecordPageCodec(const RhikConfig& cfg, std::uint32_t page_size)
     : cfg_(cfg), page_size_(page_size), r_(cfg.records_per_page(page_size)) {
   assert(r_ >= cfg_.hop_range);

@@ -2,9 +2,9 @@
 //
 // A record-layer page is one independent hopscotch table (§IV-A): R slots
 // of [key signature | PPA] followed by R hopinfo bitmaps. R follows Eq. 1
-// exactly because the table header lives in the page's spare area, not in
-// the main area. Empty slots are reconstructed from the hopinfo bitmaps,
-// so their main-area bytes are irrelevant (left zeroed).
+// exactly because the page carries no table header: its spare holds only
+// the generic SpareTag, and occupancy is rebuilt from the hopinfo bitmaps.
+// Empty slots' main-area bytes are irrelevant (left zeroed).
 #pragma once
 
 #include <cstdint>
@@ -13,26 +13,10 @@
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
-#include "ftl/layout.hpp"
 #include "hash/hopscotch.hpp"
 #include "index/rhik/config.hpp"
 
 namespace rhik::index {
-
-/// Spare-area metadata of an index-zone record page, after the generic
-/// SpareTag: the owning directory bucket, index generation (mlhash: page
-/// and level) and record count. The index zone holds record pages only.
-struct IndexPageSpare {
-  std::uint32_t generation = 0;
-  std::uint64_t bucket = 0;      ///< directory bucket
-  std::uint32_t record_count = 0;
-
-  static constexpr std::size_t kEncodedSize =
-      ftl::SpareTag::kEncodedSize + 4 + 8 + 4;
-
-  void encode(MutByteSpan spare) const noexcept;
-  static IndexPageSpare decode(ByteSpan spare) noexcept;
-};
 
 class RecordPageCodec {
  public:

@@ -20,18 +20,15 @@ RhikIndex::RhikIndex(flash::NandDevice* nand, ftl::PageAllocator* alloc,
   dir_.assign(dir_size(), kInvalidPpa);
   ov_dir_.assign(dir_size(), kInvalidPpa);
   cache_.set_writeback([this](const std::uint64_t& key, CachedTable& v) {
-    // Write-back of an evicted dirty table (dirty entries are decoded:
-    // only load_table hands out a mutable table). Failure means the
-    // device is wedged full (GC not keeping up) or powered off; the
-    // eviction path cannot propagate a status, so it is counted and the
-    // first one is kept for flush() to return.
+    // Write-back of a dirty table (dirty entries are decoded: only
+    // load_table hands out a mutable table). Failure means the device is
+    // wedged full (GC not keeping up) or powered off; it is counted here,
+    // and flush() returns it.
     assert(v.page.empty());
     const Status s = write_table(key_gen(key), key_bucket(key), v.table,
                                  /*for_gc=*/false);
-    if (!ok(s)) {
-      stats_.writeback_failures++;
-      if (ok(writeback_error_)) writeback_error_ = s;
-    }
+    if (!ok(s)) stats_.writeback_failures++;
+    return s;
   });
 }
 
@@ -159,11 +156,6 @@ Status RhikIndex::write_table(std::uint32_t gen, std::uint64_t bucket,
   Bytes spare(g.spare_size(), 0xFF);
   codec_.encode(table, page);
   ftl::SpareTag{ftl::PageKind::kIndexRecord, ftl::Stream::kIndex}.encode(spare);
-  IndexPageSpare meta;
-  meta.generation = gen;
-  meta.bucket = bucket;
-  meta.record_count = table.size();
-  meta.encode(spare);
 
   auto ppa = alloc_->allocate(ftl::Stream::kIndex, for_gc);
   if (!ppa && ppa.status() == Status::kDeviceFull && !for_gc) {
@@ -171,7 +163,10 @@ Status RhikIndex::write_table(std::uint32_t gen, std::uint64_t bucket,
     ppa = alloc_->allocate(ftl::Stream::kIndex, /*for_gc=*/true);
   }
   if (!ppa) return ppa.status();
-  if (Status s = nand_->program_page(*ppa, page, spare); !ok(s)) return s;
+  if (Status s = nand_->program_page(*ppa, page, spare); !ok(s)) {
+    alloc_->program_failed(*ppa);
+    return s;
+  }
   stats_.flash_writes++;
 
   retire_old();
@@ -859,7 +854,6 @@ Status RhikIndex::flush() {
   // one generation, and the device checkpoint that follows a flush
   // refuses to run mid-migration (kBusy). An explicit flush is a
   // durability barrier and may absorb the remaining quanta.
-  writeback_error_ = Status::kOk;
   while (mig_) {
     const std::uint64_t before = mig_->pending;
     const Status s = pump_migration(cfg_.incremental_batch);
@@ -868,12 +862,11 @@ Status RhikIndex::flush() {
       // The barrier fails, but still write back whatever dirty tables the
       // device will take so a failed flush leaves as much state durable
       // as possible (write-back failures land in writeback_failures).
-      cache_.flush_all();
+      (void)cache_.flush_all();
       return ok(s) ? Status::kBusy : s;
     }
   }
-  cache_.flush_all();
-  return writeback_error_;
+  return cache_.flush_all();
 }
 
 }  // namespace rhik::index

@@ -260,8 +260,6 @@ class RhikIndex final : public IIndex {
 
   std::uint64_t num_keys_ = 0;
   IndexOpStats stats_;
-  /// First failed cache write-back since the last flush() began.
-  Status writeback_error_ = Status::kOk;
   std::vector<ResizeEvent> resize_history_;
 
   struct Migration {

@@ -146,7 +146,6 @@ class CheckpointManager final : public index::IndexJournal {
   /// pumps it to durability. kBusy while index maintenance is active.
   Status checkpoint_now();
 
-  [[nodiscard]] bool in_progress() const noexcept { return pending_.has_value(); }
   [[nodiscard]] const CheckpointStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t durable_version() const noexcept { return version_; }
 

@@ -108,9 +108,6 @@ struct DeviceConfig {
   /// §VI extension: derive key signatures from a 4 B key-prefix hash plus
   /// a 4 B suffix hash, enabling prefix iteration.
   bool prefix_signatures = false;
-  /// §VI alternative: 128-bit signature generation for collision
-  /// analysis (the index still addresses by the low 64 bits).
-  bool wide_signatures = false;
 
   /// Observability: per-op stage metrics, trace-ring sampling and the
   /// periodic dump hook (see obs/trace.hpp for the knobs).

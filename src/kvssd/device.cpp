@@ -508,7 +508,6 @@ std::unique_ptr<flash::NandDevice> KvssdDevice::release_nand() {
 
 std::uint64_t KvssdDevice::signature_for(const DeviceConfig& cfg, ByteSpan key) {
   if (cfg.prefix_signatures) return hash::prefix_signature(key);
-  if (cfg.wide_signatures) return hash::murmur3_128(key).lo;
   return hash::murmur2_64(key);
 }
 

@@ -173,11 +173,8 @@ class KvssdDevice : public api::IKvsBackend {
   [[nodiscard]] ftl::FlashKvStore& store() noexcept { return *store_; }
   [[nodiscard]] ftl::GarbageCollector& gc() noexcept { return *gc_; }
   /// The snapshot context (device-owned, or the shared one installed via
-  /// DeviceConfig::snapshots) and the per-device version retainer.
+  /// DeviceConfig::snapshots).
   [[nodiscard]] ftl::SnapshotContext& snapshots() noexcept { return *snaps_; }
-  [[nodiscard]] ftl::VersionRetainer& version_retainer() noexcept {
-    return *retainer_;
-  }
   [[nodiscard]] const DeviceConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const DeviceStats& stats() const noexcept { return stats_; }
 

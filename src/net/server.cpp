@@ -51,8 +51,8 @@ KvServer::KvServer(api::KvsDevice& dev, ServerConfig cfg)
     : dev_(dev),
       cfg_(std::move(cfg)),
       serialize_backend_(!dev.sharded()),
+      next_conn_id_(kFirstConnId),
       tenants_(metrics_) {
-  next_conn_id_.store(kFirstConnId);
   m_accepted_ = &metrics_.counter("net.accepted");
   m_closed_ = &metrics_.counter("net.closed");
   m_rx_bytes_ = &metrics_.counter("net.rx_bytes");
@@ -77,13 +77,16 @@ KvServer::KvServer(api::KvsDevice& dev, ServerConfig cfg)
 
 KvServer::~KvServer() { stop(); }
 
-KvServer::Worker::~Worker() {
-  if (event_fd >= 0) ::close(event_fd);
-  if (epfd >= 0) ::close(epfd);
+void KvServer::close_fds() {
+  for (int* fd : {&listen_fd_, &epfd_, &event_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 Status KvServer::start() {
   if (running_.load()) return Status::kAlreadyExists;
+  if (cfg_.num_workers != 1) return Status::kInvalidArgument;
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return Status::kIoError;
   int one = 1;
@@ -94,93 +97,60 @@ Status KvServer::start() {
   if (::inet_pton(AF_INET, cfg_.bind_address.c_str(), &addr.sin_addr) != 1 ||
       ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
       ::listen(listen_fd_, 1024) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    close_fds();
     return Status::kIoError;
   }
   socklen_t alen = sizeof addr;
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
   port_ = ntohs(addr.sin_port);
 
-  const std::uint32_t n = std::max<std::uint32_t>(1, cfg_.num_workers);
-  workers_.clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto w = std::make_unique<Worker>();
-    w->index = i;
-    w->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    w->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (w->epfd < 0 || w->event_fd < 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      // Worker dtors close the fds of `w` and every already-created
-      // worker — no descriptor survives a partial start.
-      workers_.clear();
-      return Status::kIoError;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kTagEvent;
-    ::epoll_ctl(w->epfd, EPOLL_CTL_ADD, w->event_fd, &ev);
-    if (i == 0) {
-      epoll_event lv{};
-      lv.events = EPOLLIN;
-      lv.data.u64 = kTagListen;
-      ::epoll_ctl(w->epfd, EPOLL_CTL_ADD, listen_fd_, &lv);
-    }
-    workers_.push_back(std::move(w));
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epfd_ < 0 || event_fd_ < 0) {
+    close_fds();  // no descriptor survives a partial start
+    return Status::kIoError;
   }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kTagEvent;
+  ::epoll_ctl(epfd_, EPOLL_CTL_ADD, event_fd_, &ev);
+  ev.data.u64 = kTagListen;
+  ::epoll_ctl(epfd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   draining_.store(false);
   running_.store(true);
-  for (auto& w : workers_) {
-    w->thread = std::thread([this, wp = w.get()] { worker_main(*wp); });
-  }
+  loop_ = std::thread([this] { loop_main(); });
   // Completion batches land on the ring from shard worker threads; an
   // eventfd kick per batch replaces timer-polling the ring. (On a
-  // non-sharded device completions only appear when a worker drives the
+  // non-sharded device completions only appear when the loop drives the
   // queue itself, so the self-wake is harmless.)
-  dev_.set_completion_notify([this] {
-    for (auto& w : workers_) wake(*w);
-  });
+  dev_.set_completion_notify([this] { wake(); });
   return Status::kOk;
 }
 
 void KvServer::stop() {
-  if (workers_.empty()) return;
+  if (!loop_.joinable()) return;
   draining_.store(true);
   running_.store(false);
-  for (auto& w : workers_) wake(*w);
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  wake();
+  loop_.join();
   // Straggler completions (commands orphaned past the drain deadline)
   // may still fire the notify from shard workers: detach it before the
-  // eventfds it writes to are closed.
+  // eventfd it writes to is closed.
   dev_.set_completion_notify(nullptr);
-  workers_.clear();  // Worker dtors close each epfd/event_fd
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // Anything still registered here belonged to connections whose workers
+  close_fds();
+  // Anything still registered here belonged to connections the loop
   // force-closed at the drain deadline.
-  std::lock_guard lk(pending_mu_);
   pending_.clear();
-  stray_.clear();
-  inflight_total_.store(0);
+  inflight_total_ = 0;
   draining_.store(false);
 }
 
-void KvServer::wake(Worker& w) {
+void KvServer::wake() {
   const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(w.event_fd, &one, sizeof one);
+  [[maybe_unused]] const ssize_t n = ::write(event_fd_, &one, sizeof one);
 }
 
-bool KvServer::fully_drained() {
-  std::lock_guard lk(pending_mu_);
-  return pending_.empty() && stray_.empty();
-}
-
-void KvServer::worker_main(Worker& w) {
+void KvServer::loop_main() {
   std::vector<epoll_event> events(512);
   std::uint64_t drain_deadline_ns = 0;
   bool pumping = false;
@@ -189,56 +159,43 @@ void KvServer::worker_main(Worker& w) {
     int timeout = cfg_.idle_timeout_ms;
     if (stopping) {
       timeout = 1;
-    } else if (pumping ||
-               (serialize_backend_ &&
-                inflight_total_.load(std::memory_order_relaxed) > 0)) {
+    } else if (pumping || (serialize_backend_ && inflight_total_ > 0)) {
       // A non-sharded device completes work only when this loop drives
       // it, so keep driving. A sharded backend's completion batches
       // arrive via the eventfd notify — block normally.
       timeout = 0;
     }
-    const int n = ::epoll_wait(w.epfd, events.data(),
+    const int n = ::epoll_wait(epfd_, events.data(),
                                static_cast<int>(events.size()), timeout);
     m_loop_iters_->inc();
     for (int i = 0; i < n; ++i) {
       const epoll_event& ev = events[static_cast<std::size_t>(i)];
       if (ev.data.u64 == kTagListen) {
-        accept_ready(w);
+        accept_ready();
         continue;
       }
       if (ev.data.u64 == kTagEvent) {
         std::uint64_t buf;
-        while (::read(w.event_fd, &buf, sizeof buf) > 0) {
+        while (::read(event_fd_, &buf, sizeof buf) > 0) {
         }
         continue;
       }
-      auto it = w.conns.find(ev.data.u64);
-      if (it == w.conns.end()) continue;  // closed earlier this batch
+      auto it = conns_.find(ev.data.u64);
+      if (it == conns_.end()) continue;  // closed earlier this batch
       Conn& c = *it->second;
       if (ev.events & (EPOLLERR | EPOLLHUP)) {
-        close_conn(w, c);
+        close_conn(c);
         continue;
       }
       if ((ev.events & EPOLLIN) && !c.read_closed) {
-        read_ready(w, c);
+        read_ready(c);
         // read_ready may close the connection; re-check before EPOLLOUT.
-        if (w.conns.find(ev.data.u64) == w.conns.end()) continue;
+        if (conns_.find(ev.data.u64) == conns_.end()) continue;
       }
-      if (ev.events & EPOLLOUT) write_ready(w, c);
+      if (ev.events & EPOLLOUT) flush_out(c);
     }
 
-    // Adopt handed-off connections and apply routed responses.
-    {
-      std::vector<int> handoff;
-      {
-        std::lock_guard lk(w.inbox_mu);
-        handoff.swap(w.handoff);
-      }
-      for (const int fd : handoff) adopt_conn(w, fd);
-    }
-    drain_inbox(w);
-
-    const std::size_t done = harvest_completions(w);
+    const std::size_t done = harvest_completions();
 
     if (stopping) {
       const std::uint64_t now = wall_now_ns();
@@ -246,32 +203,23 @@ void KvServer::worker_main(Worker& w) {
         drain_deadline_ns =
             now + static_cast<std::uint64_t>(cfg_.drain_timeout_ms) * 1'000'000;
         // No further requests: stop reading everywhere, keep writing.
-        for (auto& [id, conn] : w.conns) {
+        for (auto& [id, conn] : conns_) {
           conn->read_closed = true;
-          update_write_interest(w, *conn);
+          update_write_interest(*conn);
         }
       }
       bool flushed = true;
-      for (auto& [id, conn] : w.conns) {
+      for (auto& [id, conn] : conns_) {
         if (conn->out_pos < conn->out.size()) flushed = false;
       }
-      bool inbox_empty;
-      {
-        std::lock_guard lk(w.inbox_mu);
-        inbox_empty = w.inbox.empty() && w.handoff.empty();
-      }
-      if ((fully_drained() && flushed && inbox_empty) ||
-          now > drain_deadline_ns) {
-        break;
-      }
+      if ((pending_.empty() && flushed) || now > drain_deadline_ns) break;
       continue;
     }
 
     // Fully idle: let the backend make background progress (GC quanta,
     // incremental index migration). A sharded array reports false here —
     // its own workers pump whenever their rings go idle.
-    if (n == 0 && done == 0 &&
-        inflight_total_.load(std::memory_order_relaxed) == 0) {
+    if (n == 0 && done == 0 && inflight_total_ == 0) {
       bool worked;
       if (serialize_backend_) {
         std::lock_guard lk(backend_mu_);
@@ -285,17 +233,17 @@ void KvServer::worker_main(Worker& w) {
       pumping = false;
     }
   }
-  // Worker teardown: close whatever is left (drained or past deadline).
-  for (auto& [id, conn] : w.conns) {
+  // Loop teardown: close whatever is left (drained or past deadline).
+  for (auto& [id, conn] : conns_) {
     reap_cursors(*conn);
     ::close(conn->fd);
     m_closed_->inc();
     m_connections_->add(-1);
   }
-  w.conns.clear();
+  conns_.clear();
 }
 
-void KvServer::accept_ready(Worker& w) {
+void KvServer::accept_ready() {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -306,36 +254,24 @@ void KvServer::accept_ready(Worker& w) {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    const std::uint32_t target =
-        next_accept_worker_.fetch_add(1, std::memory_order_relaxed) %
-        static_cast<std::uint32_t>(workers_.size());
-    if (target == w.index) {
-      adopt_conn(w, fd);
-    } else {
-      Worker& t = *workers_[target];
-      {
-        std::lock_guard lk(t.inbox_mu);
-        t.handoff.push_back(fd);
-      }
-      wake(t);
-    }
+    adopt_conn(fd);
   }
 }
 
-void KvServer::adopt_conn(Worker& w, int fd) {
+void KvServer::adopt_conn(int fd) {
   auto c = std::make_unique<Conn>(cfg_.limits);
   c->fd = fd;
-  c->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
+  c->id = next_conn_id_++;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = c->id;
-  if (::epoll_ctl(w.epfd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
     ::close(fd);
     return;
   }
   m_accepted_->inc();
   m_connections_->add(1);
-  w.conns.emplace(c->id, std::move(c));
+  conns_.emplace(c->id, std::move(c));
 }
 
 void KvServer::reap_cursors(Conn& c) {
@@ -351,22 +287,22 @@ void KvServer::reap_cursors(Conn& c) {
   c.cursors.clear();
 }
 
-void KvServer::close_conn(Worker& w, Conn& c) {
+void KvServer::close_conn(Conn& c) {
   // Idle-cursor reaping: a dying connection's scans release their
   // snapshot pins here, so an abandoned cursor never holds version
   // retention hostage.
   reap_cursors(c);
-  // Pending completions for this connection stay registered; whoever
-  // harvests them finds the connection gone and reaps them as orphans —
+  // Pending completions for this connection stay registered; the
+  // harvest finds the connection gone and reaps them as orphans —
   // reaped exactly once, delivered zero times.
-  ::epoll_ctl(w.epfd, EPOLL_CTL_DEL, c.fd, nullptr);
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, c.fd, nullptr);
   ::close(c.fd);
   m_closed_->inc();
   m_connections_->add(-1);
-  w.conns.erase(c.id);  // destroys c — callers must not touch it again
+  conns_.erase(c.id);  // destroys c — callers must not touch it again
 }
 
-void KvServer::update_write_interest(Worker& w, Conn& c) {
+void KvServer::update_write_interest(Conn& c) {
   const bool want_write = c.out_pos < c.out.size();
   if (want_write == c.want_write && !c.read_closed) return;
   c.want_write = want_write;
@@ -374,10 +310,10 @@ void KvServer::update_write_interest(Worker& w, Conn& c) {
   ev.events = (c.read_closed ? 0u : static_cast<unsigned>(EPOLLIN)) |
               (want_write ? static_cast<unsigned>(EPOLLOUT) : 0u);
   ev.data.u64 = c.id;
-  ::epoll_ctl(w.epfd, EPOLL_CTL_MOD, c.fd, &ev);
+  ::epoll_ctl(epfd_, EPOLL_CTL_MOD, c.fd, &ev);
 }
 
-void KvServer::read_ready(Worker& w, Conn& c) {
+void KvServer::read_ready(Conn& c) {
   // handle_request can destroy `c` (a flush hitting EPIPE/ECONNRESET
   // closes the connection), so every post-dispatch liveness check must
   // use a saved id — reading c.id after the close is a use-after-free.
@@ -393,8 +329,8 @@ void KvServer::read_ready(Worker& w, Conn& c) {
       for (;;) {
         const DecodeStatus ds = c.decoder.next(&f);
         if (ds == DecodeStatus::kFrame) {
-          handle_request(w, c, std::move(f));
-          if (w.conns.find(conn_id) == w.conns.end()) return;  // closed
+          handle_request(c, std::move(f));
+          if (conns_.find(conn_id) == conns_.end()) return;  // closed
           continue;
         }
         if (ds == DecodeStatus::kNeedMore) break;
@@ -412,7 +348,7 @@ void KvServer::read_ready(Worker& w, Conn& c) {
           [[maybe_unused]] const ssize_t sent =
               ::send(c.fd, enc.data(), enc.size(), MSG_NOSIGNAL);
         }
-        close_conn(w, c);
+        close_conn(c);
         return;
       }
       if (r < static_cast<ssize_t>(sizeof buf)) return;  // drained socket
@@ -422,22 +358,18 @@ void KvServer::read_ready(Worker& w, Conn& c) {
       // Peer finished sending. Keep the connection until every pipelined
       // response has been delivered (write side still open).
       c.read_closed = true;
-      update_write_interest(w, c);
-      if (c.inflight == 0 && c.out_pos >= c.out.size()) close_conn(w, c);
+      update_write_interest(c);
+      if (c.inflight == 0 && c.out_pos >= c.out.size()) close_conn(c);
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
     if (errno == EINTR) continue;
-    close_conn(w, c);
+    close_conn(c);
     return;
   }
 }
 
-void KvServer::write_ready(Worker& w, Conn& c) {
-  flush_out(w, c);
-}
-
-void KvServer::flush_out(Worker& w, Conn& c) {
+void KvServer::flush_out(Conn& c) {
   while (c.out_pos < c.out.size()) {
     const ssize_t s = ::send(c.fd, c.out.data() + c.out_pos,
                              c.out.size() - c.out_pos, MSG_NOSIGNAL);
@@ -448,17 +380,17 @@ void KvServer::flush_out(Worker& w, Conn& c) {
       continue;
     }
     if (s < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      update_write_interest(w, c);
+      update_write_interest(c);
       return;
     }
     if (s < 0 && errno == EINTR) continue;
-    close_conn(w, c);  // EPIPE / ECONNRESET: peer died
+    close_conn(c);  // EPIPE / ECONNRESET: peer died
     return;
   }
   c.out.clear();
   c.out_pos = 0;
-  update_write_interest(w, c);
-  if (c.read_closed && c.inflight == 0) close_conn(w, c);
+  update_write_interest(c);
+  if (c.read_closed && c.inflight == 0) close_conn(c);
 }
 
 void KvServer::enqueue_response(Conn& c, const ResponseFrame& resp) {
@@ -466,21 +398,21 @@ void KvServer::enqueue_response(Conn& c, const ResponseFrame& resp) {
   m_responses_->inc();
 }
 
-void KvServer::send_response(Worker& w, Conn& c, const ResponseFrame& resp) {
+void KvServer::send_response(Conn& c, const ResponseFrame& resp) {
   enqueue_response(c, resp);
-  flush_out(w, c);
+  flush_out(c);
 }
 
-void KvServer::flush_touched(Worker& w, std::vector<std::uint64_t>& touched) {
+void KvServer::flush_touched(std::vector<std::uint64_t>& touched) {
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   for (const std::uint64_t id : touched) {
-    auto it = w.conns.find(id);
-    if (it != w.conns.end()) flush_out(w, *it->second);
+    auto it = conns_.find(id);
+    if (it != conns_.end()) flush_out(*it->second);
   }
 }
 
-void KvServer::respond_now(Worker& w, Conn& c, const RequestFrame& f,
+void KvServer::respond_now(Conn& c, const RequestFrame& f,
                            api::KvsResult result, Bytes&& value,
                            std::uint32_t extra) {
   ResponseFrame resp;
@@ -489,10 +421,10 @@ void KvServer::respond_now(Worker& w, Conn& c, const RequestFrame& f,
   resp.request_id = f.request_id;
   resp.extra = extra;
   resp.value = std::move(value);
-  send_response(w, c, resp);
+  send_response(c, resp);
 }
 
-void KvServer::handle_request(Worker& w, Conn& c, RequestFrame&& f) {
+void KvServer::handle_request(Conn& c, RequestFrame&& f) {
   m_requests_->inc();
   const std::uint64_t now = wall_now_ns();
 
@@ -502,7 +434,7 @@ void KvServer::handle_request(Worker& w, Conn& c, RequestFrame&& f) {
   } else {
     tenant = tenants_.find(f.tenant_id);
     if (tenant == nullptr) {
-      respond_now(w, c, f, api::KvsResult::KVS_ERR_OPTION_INVALID);
+      respond_now(c, f, api::KvsResult::KVS_ERR_OPTION_INVALID);
       return;
     }
   }
@@ -511,7 +443,7 @@ void KvServer::handle_request(Worker& w, Conn& c, RequestFrame&& f) {
     // Monitoring stays exempt from quotas so a throttled tenant can
     // still observe its own throttling.
     const std::string json = metrics_snapshot().to_json();
-    respond_now(w, c, f, api::KvsResult::KVS_SUCCESS,
+    respond_now(c, f, api::KvsResult::KVS_SUCCESS,
                 Bytes(json.begin(), json.end()));
     return;
   }
@@ -522,40 +454,32 @@ void KvServer::handle_request(Worker& w, Conn& c, RequestFrame&& f) {
   if (!tenant->bucket.try_take(now)) {
     tenant->throttled->inc();
     m_throttled_->inc();
-    respond_now(w, c, f, api::KvsResult::KVS_ERR_QUEUE_FULL);
+    respond_now(c, f, api::KvsResult::KVS_ERR_QUEUE_FULL);
     return;
   }
 
   if (f.opcode == Opcode::kIterOpen || f.opcode == Opcode::kIterNext ||
       f.opcode == Opcode::kIterClose) {
-    handle_cursor_op(w, c, f, *tenant, now);
+    handle_cursor_op(c, f, *tenant, now);
     return;
   }
 
   // PUT / GET / DEL: the async path.
   if (f.key.empty() ||
       f.key.size() + kTenantPrefixLen > kDeviceMaxKey) {
-    respond_now(w, c, f, api::KvsResult::KVS_ERR_KEY_LENGTH_INVALID);
+    respond_now(c, f, api::KvsResult::KVS_ERR_KEY_LENGTH_INVALID);
     return;
   }
-  if (inflight_total_.load(std::memory_order_relaxed) >=
-          cfg_.max_global_inflight ||
+  if (inflight_total_ >= cfg_.max_global_inflight ||
       c.inflight >= cfg_.max_conn_inflight) {
     m_admission_rejects_->inc();
-    respond_now(w, c, f, api::KvsResult::KVS_ERR_QUEUE_FULL);
+    respond_now(c, f, api::KvsResult::KVS_ERR_QUEUE_FULL);
     return;
   }
 
   Bytes nk = namespaced_key(tenant->id, f.key);
-  Pending p;
-  p.worker = w.index;
-  p.conn_id = c.id;
-  p.request_id = f.request_id;
-  p.opcode = f.opcode;
-  p.tenant = tenant->id;
-  p.t0_ns = now;
-  p.req_bytes = f.key.size() + f.value.size();
-
+  const Pending p{c.id, f.request_id, f.opcode, tenant->id, now,
+                  f.key.size() + f.value.size()};
   std::uint64_t id;
   {
     std::unique_lock<std::mutex> lk(backend_mu_, std::defer_lock);
@@ -572,39 +496,19 @@ void KvServer::handle_request(Worker& w, Conn& c, RequestFrame&& f) {
         break;
     }
   }
+  // Registered before this loop next harvests, so the completion always
+  // finds its entry.
+  pending_.emplace(id, p);
   c.inflight++;
-  inflight_total_.fetch_add(1, std::memory_order_relaxed);
+  inflight_total_++;
   m_inflight_->add(1);
-
-  // Register the pending entry — unless another worker already
-  // harvested this command's completion (it parked it in stray_).
-  bool routed = false;
-  api::KvsCompletion early;
-  {
-    std::lock_guard lk(pending_mu_);
-    auto sit = stray_.find(id);
-    if (sit != stray_.end()) {
-      early = std::move(sit->second);
-      stray_.erase(sit);
-      routed = true;
-    } else {
-      pending_.emplace(id, p);
-    }
-  }
-  if (routed) {
-    std::vector<std::uint64_t> touched;
-    route_completion(w, p, std::move(early), &touched);
-    flush_touched(w, touched);
-    inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-    m_inflight_->add(-1);
-  }
 }
 
-void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
+void KvServer::handle_cursor_op(Conn& c, RequestFrame& f,
                                 Tenant& tenant, std::uint64_t now_ns) {
   if (f.opcode == Opcode::kIterOpen) {
     if (c.cursors.size() >= cfg_.max_conn_cursors) {
-      respond_now(w, c, f, api::KvsResult::KVS_ERR_ITERATOR_MAX);
+      respond_now(c, f, api::KvsResult::KVS_ERR_ITERATOR_MAX);
       return;
     }
     const Bytes prefix = namespaced_key(tenant.id, f.key);
@@ -624,7 +528,7 @@ void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
       }
     }
     if (r != api::KvsResult::KVS_SUCCESS) {
-      respond_now(w, c, f, r);
+      respond_now(c, f, r);
       return;
     }
     const std::uint64_t cid = c.next_cursor_id++;
@@ -636,7 +540,7 @@ void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
     tenant.ops->inc();
     tenant.bytes->inc(f.key.size() + token.size());
     tenant.latency->record(wall_now_ns() - now_ns);
-    respond_now(w, c, f, r, std::move(token));
+    respond_now(c, f, r, std::move(token));
     return;
   }
 
@@ -647,7 +551,7 @@ void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
   auto found = c.cursors.end();
   if (decode_iter_token(ByteSpan(f.value), &t)) found = c.cursors.find(t.cursor_id);
   if (found == c.cursors.end() || found->second.tenant != tenant.id) {
-    respond_now(w, c, f, api::KvsResult::KVS_ERR_OPTION_INVALID);
+    respond_now(c, f, api::KvsResult::KVS_ERR_OPTION_INVALID);
     return;
   }
   Cursor& cur = found->second;
@@ -661,7 +565,7 @@ void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
     }
     c.cursors.erase(found);
     m_cursors_->add(-1);
-    respond_now(w, c, f, api::KvsResult::KVS_SUCCESS);
+    respond_now(c, f, api::KvsResult::KVS_SUCCESS);
     return;
   }
 
@@ -683,7 +587,7 @@ void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
     // an explicit close); KVS_ERR_SNAPSHOT_TOO_OLD = the pin fell out
     // of retention mid-scan and the client must restart; KVS_ERR_SYS_IO
     // = a read error, and the cursor stays where it stood.
-    respond_now(w, c, f, r);
+    respond_now(c, f, r);
     return;
   }
   for (auto& k : keys) k.erase(0, kTenantPrefixLen);
@@ -693,11 +597,11 @@ void KvServer::handle_cursor_op(Worker& w, Conn& c, RequestFrame& f,
   tenant.ops->inc();
   tenant.bytes->inc(f.key.size() + payload.size());
   tenant.latency->record(wall_now_ns() - now_ns);
-  respond_now(w, c, f, r, std::move(payload), count);
+  respond_now(c, f, r, std::move(payload), count);
 }
 
-std::size_t KvServer::harvest_completions(Worker& w) {
-  if (inflight_total_.load(std::memory_order_relaxed) == 0) return 0;
+std::size_t KvServer::harvest_completions() {
+  if (inflight_total_ == 0) return 0;
   std::vector<api::KvsCompletion> comps;
   if (serialize_backend_) {
     // Single-threaded device: poll_completions drives its queue inline
@@ -713,38 +617,23 @@ std::size_t KvServer::harvest_completions(Worker& w) {
   }
   std::vector<std::uint64_t> touched;
   for (api::KvsCompletion& comp : comps) {
-    bool found = false;
-    Pending p;
-    {
-      std::lock_guard lk(pending_mu_);
-      auto it = pending_.find(comp.id);
-      if (it == pending_.end()) {
-        // Submit/harvest race: the submitter has not registered yet.
-        // Park the completion; handle_request matches it on insert.
-        stray_.emplace(comp.id, std::move(comp));
-        continue;
-      }
-      p = it->second;
-      found = true;
+    auto it = pending_.find(comp.id);
+    if (it == pending_.end()) {
+      // A command an earlier stop() abandoned at its drain deadline.
+      m_orphaned_->inc();
+      continue;
     }
-    if (!found) continue;
-    // Route BEFORE erasing the pending entry: a draining worker treats
-    // "pending empty + inbox empty" as termination, so a message must
-    // never be in flight to an inbox while the map looks empty.
-    route_completion(w, p, std::move(comp), &touched);
-    {
-      std::lock_guard lk(pending_mu_);
-      pending_.erase(comp.id);
-    }
-    inflight_total_.fetch_sub(1, std::memory_order_relaxed);
+    route_completion(it->second, std::move(comp), &touched);
+    pending_.erase(it);
+    inflight_total_--;
     m_inflight_->add(-1);
   }
   if (!comps.empty()) m_harvest_batches_->inc();
-  flush_touched(w, touched);
+  flush_touched(touched);
   return comps.size();
 }
 
-void KvServer::route_completion(Worker& w, const Pending& p,
+void KvServer::route_completion(const Pending& p,
                                 api::KvsCompletion&& comp,
                                 std::vector<std::uint64_t>* touched) {
   // Tenant accounting happens at completion (the command actually ran).
@@ -754,6 +643,13 @@ void KvServer::route_completion(Worker& w, const Pending& p,
     t->latency->record(wall_now_ns() - p.t0_ns);
   }
 
+  auto it = conns_.find(p.conn_id);
+  if (it == conns_.end()) {
+    m_orphaned_->inc();
+    return;
+  }
+  Conn& c = *it->second;
+  if (c.inflight > 0) c.inflight--;
   ResponseFrame resp;
   resp.opcode = p.opcode;
   resp.status = comp.result;
@@ -761,52 +657,7 @@ void KvServer::route_completion(Worker& w, const Pending& p,
   if (p.opcode == Opcode::kGet && comp.result == api::KvsResult::KVS_SUCCESS) {
     resp.value = std::move(comp.value);
   }
-
-  if (p.worker == w.index) {
-    auto it = w.conns.find(p.conn_id);
-    if (it == w.conns.end()) {
-      m_orphaned_->inc();
-      return;
-    }
-    Conn& c = *it->second;
-    if (c.inflight > 0) c.inflight--;
-    enqueue_response(c, resp);
-    touched->push_back(c.id);
-    return;
-  }
-  Worker& owner = *workers_[p.worker];
-  OutMsg m;
-  m.conn_id = p.conn_id;
-  encode_response(resp, &m.data);
-  {
-    std::lock_guard lk(owner.inbox_mu);
-    owner.inbox.push_back(std::move(m));
-  }
-  wake(owner);
-}
-
-void KvServer::drain_inbox(Worker& w) {
-  std::vector<OutMsg> msgs;
-  {
-    std::lock_guard lk(w.inbox_mu);
-    msgs.swap(w.inbox);
-  }
-  std::vector<std::uint64_t> touched;
-  for (OutMsg& m : msgs) apply_out_msg(w, std::move(m), &touched);
-  flush_touched(w, touched);
-}
-
-void KvServer::apply_out_msg(Worker& w, OutMsg&& m,
-                             std::vector<std::uint64_t>* touched) {
-  auto it = w.conns.find(m.conn_id);
-  if (it == w.conns.end()) {
-    m_orphaned_->inc();
-    return;
-  }
-  Conn& c = *it->second;
-  if (c.inflight > 0) c.inflight--;
-  c.out.insert(c.out.end(), m.data.begin(), m.data.end());
-  m_responses_->inc();
+  enqueue_response(c, resp);
   touched->push_back(c.id);
 }
 

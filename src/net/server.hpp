@@ -1,26 +1,26 @@
 // net::KvServer — the networked multi-tenant serving layer
 // (DESIGN.md §12).
 //
-// A non-blocking epoll TCP front-end over one `api::KvsDevice`. Each of
-// M worker threads owns an epoll instance and a disjoint subset of the
-// client connections (accepted round-robin); a worker's loop
+// A non-blocking epoll TCP front-end over one `api::KvsDevice`. One
+// event-loop thread owns the listening socket and every client
+// connection; each pass of the loop
 //
 //   1. drains its epoll: accepts, reads (decode → admission → dispatch
 //      through the async verb set), writes back-pressured buffers;
 //   2. harvests the device's batched completion ring
 //      (api::KvsDevice::poll_completions) and routes each completion to
-//      the connection that issued it — directly when this worker owns
-//      it, via the owning worker's inbox (eventfd-signalled) otherwise;
+//      the connection that issued it;
 //   3. when fully idle, pumps backend background maintenance
 //      (IKvsBackend::pump_background) so GC quanta and incremental
 //      index migrations keep progressing on a single-device backend
 //      with no other thread (a sharded array's own workers already
 //      pump in their ring-idle windows).
 //
-// No thread is ever parked per request: requests pipeline freely per
-// connection, and a response goes out whenever the device completes the
-// command — out-of-order responses are the contract (clients match by
-// request id).
+// The loop registers a command before it next harvests, so every
+// completion it harvests finds its pending entry. No thread is ever
+// parked per request: requests pipeline freely per connection, and a
+// response goes out whenever the device completes the command —
+// out-of-order responses are the contract (clients match by request id).
 //
 // Admission control is two-layer and never silent: a global in-flight
 // cap plus a per-connection pipeline cap answer with the retryable
@@ -63,6 +63,8 @@ namespace rhik::net {
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
+  /// Event-loop threads. Fixed at 1: one loop owns every connection,
+  /// and start() answers kInvalidArgument for any other value.
   std::uint32_t num_workers = 1;
   /// Global admission cap: async commands in flight across the whole
   /// server. Above it, requests are answered KVS_ERR_QUEUE_FULL.
@@ -92,20 +94,22 @@ class KvServer {
  public:
   /// The server dispatches into `dev` via the async verb set. For a
   /// non-sharded device (no internal threading) every backend call is
-  /// serialized behind an internal mutex; a sharded backend's verbs are
-  /// thread-safe already and workers run them concurrently.
+  /// serialized behind an internal mutex, which orders device_metrics()
+  /// callers against the loop; a sharded backend's verbs are
+  /// thread-safe already.
   KvServer(api::KvsDevice& dev, ServerConfig cfg = {});
   ~KvServer();
 
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;
 
-  /// Binds, listens and spawns the workers. kIoError on socket failure.
+  /// Binds, listens and spawns the event loop. kIoError on socket
+  /// failure; kInvalidArgument unless cfg.num_workers is 1.
   Status start();
   /// Graceful shutdown: stops accepting and reading, keeps harvesting
   /// completions until every in-flight command has been answered and
   /// every response buffer flushed (bounded by drain_timeout_ms), then
-  /// closes all sockets and joins the workers. Idempotent.
+  /// closes all sockets and joins the loop. Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return running_.load(); }
@@ -121,7 +125,7 @@ class KvServer {
     return metrics_.snapshot();
   }
   /// Device-side metrics, read under the backend serialization lock.
-  /// While workers run, dev.metrics_snapshot() from another thread races
+  /// While the loop runs, dev.metrics_snapshot() from another thread races
   /// whatever request or disconnect-reap is mid-flight (the sim clock is
   /// not atomic); this is the safe way to poll the device from outside.
   [[nodiscard]] obs::MetricsSnapshot device_metrics();
@@ -154,28 +158,8 @@ class KvServer {
     explicit Conn(WireLimits limits) : decoder(limits) {}
   };
 
-  struct OutMsg {
-    std::uint64_t conn_id = 0;
-    Bytes data;  ///< encoded response frame
-  };
-
-  struct Worker {
-    std::uint32_t index = 0;
-    int epfd = -1;
-    int event_fd = -1;  ///< stop/inbox/handoff wakeup
-    std::thread thread;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-    std::mutex inbox_mu;
-    std::vector<OutMsg> inbox;    ///< responses routed from other workers
-    std::vector<int> handoff;     ///< accepted fds to adopt
-    /// Closes epfd/event_fd, so a partially-started server (or stop())
-    /// never leaks descriptors.
-    ~Worker();
-  };
-
   /// One submitted-but-unanswered command.
   struct Pending {
-    std::uint32_t worker = 0;
     std::uint64_t conn_id = 0;
     std::uint64_t request_id = 0;
     Opcode opcode = Opcode::kPut;
@@ -184,24 +168,23 @@ class KvServer {
     std::uint64_t req_bytes = 0;   ///< key+value bytes in (tenant accounting)
   };
 
-  void worker_main(Worker& w);
-  void accept_ready(Worker& w);
-  void adopt_conn(Worker& w, int fd);
-  void close_conn(Worker& w, Conn& c);
-  void read_ready(Worker& w, Conn& c);
-  void write_ready(Worker& w, Conn& c);
+  void loop_main();
+  void accept_ready();
+  void adopt_conn(int fd);
+  void close_conn(Conn& c);
+  void read_ready(Conn& c);
   /// Encodes `resp` onto the connection and tries to flush.
-  void send_response(Worker& w, Conn& c, const ResponseFrame& resp);
+  void send_response(Conn& c, const ResponseFrame& resp);
   /// Encode only — callers batching many responses flush the touched
   /// connections once (one send syscall per harvest, not per response).
   void enqueue_response(Conn& c, const ResponseFrame& resp);
-  void flush_out(Worker& w, Conn& c);
+  void flush_out(Conn& c);
   /// flush_out for each distinct id in `touched` that still exists.
-  void flush_touched(Worker& w, std::vector<std::uint64_t>& touched);
-  void update_write_interest(Worker& w, Conn& c);
-  void handle_request(Worker& w, Conn& c, RequestFrame&& f);
+  void flush_touched(std::vector<std::uint64_t>& touched);
+  void update_write_interest(Conn& c);
+  void handle_request(Conn& c, RequestFrame&& f);
   /// kIterOpen / kIterNext / kIterClose (the cursored scan verbs).
-  void handle_cursor_op(Worker& w, Conn& c, RequestFrame& f, Tenant& tenant,
+  void handle_cursor_op(Conn& c, RequestFrame& f, Tenant& tenant,
                         std::uint64_t now_ns);
   /// Closes every backend iterator the connection still holds and
   /// releases their snapshot pins (connection close / server teardown) —
@@ -209,21 +192,18 @@ class KvServer {
   void reap_cursors(Conn& c);
   /// Immediate (non-device) answer: throttles, validation errors,
   /// cursor and STATUS results.
-  void respond_now(Worker& w, Conn& c, const RequestFrame& f,
-                   api::KvsResult result, Bytes&& value = {},
-                   std::uint32_t extra = 0);
+  void respond_now(Conn& c, const RequestFrame& f, api::KvsResult result,
+                   Bytes&& value = {}, std::uint32_t extra = 0);
   /// Harvests the completion ring and routes completions; returns how
   /// many were handled.
-  std::size_t harvest_completions(Worker& w);
-  /// Routes one completion; own-worker deliveries are appended without
-  /// flushing and their conn id is pushed onto `touched`.
-  void route_completion(Worker& w, const Pending& p, api::KvsCompletion&& c,
+  std::size_t harvest_completions();
+  /// Routes one completion: appends its response without flushing and
+  /// pushes its conn id onto `touched`.
+  void route_completion(const Pending& p, api::KvsCompletion&& c,
                         std::vector<std::uint64_t>* touched);
-  void drain_inbox(Worker& w);
-  void apply_out_msg(Worker& w, OutMsg&& m,
-                     std::vector<std::uint64_t>* touched);
-  void wake(Worker& w);
-  [[nodiscard]] bool fully_drained();
+  void wake();
+  /// Closes the listening socket, epoll fd and eventfd that are open.
+  void close_fds();
 
   api::KvsDevice& dev_;
   ServerConfig cfg_;
@@ -233,19 +213,17 @@ class KvServer {
   const bool serialize_backend_;
 
   int listen_fd_ = -1;
+  int epfd_ = -1;
+  int event_fd_ = -1;  ///< stop and completion-notify wakeup
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::uint64_t> next_conn_id_{1};
-  std::atomic<std::uint32_t> next_accept_worker_{0};
 
-  std::mutex pending_mu_;
+  // Owned by the loop thread (stop() resets them after joining it).
+  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::unordered_map<std::uint64_t, Pending> pending_;
-  /// Completions harvested before the submitter registered its Pending
-  /// (poll from another worker can win that race); matched on insert.
-  std::unordered_map<std::uint64_t, api::KvsCompletion> stray_;
-  std::atomic<std::size_t> inflight_total_{0};
+  std::size_t inflight_total_ = 0;
+  std::uint64_t next_conn_id_;
 
   obs::MetricsRegistry metrics_;
   TenantTable tenants_;
@@ -269,6 +247,7 @@ class KvServer {
   obs::Gauge* m_connections_;
   obs::Gauge* m_inflight_;
   obs::Gauge* m_cursors_;
+  std::thread loop_;
 };
 
 }  // namespace rhik::net

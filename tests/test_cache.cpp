@@ -36,7 +36,10 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 TEST(LruCache, DirtyWritebackOnEviction) {
   LruCache<int, int> c(2 * 10, 10);  // 2 entries
   std::vector<std::pair<int, int>> written;
-  c.set_writeback([&](const int& k, int& v) { written.emplace_back(k, v); });
+  c.set_writeback([&](const int& k, int& v) {
+    written.emplace_back(k, v);
+    return Status::kOk;
+  });
   c.insert(1, 11, /*dirty=*/true);
   c.insert(2, 22, /*dirty=*/false);
   c.insert(3, 33);  // evicts 1 (dirty) -> writeback
@@ -50,23 +53,49 @@ TEST(LruCache, DirtyWritebackOnEviction) {
 TEST(LruCache, MarkDirtyThenFlushAll) {
   LruCache<int, int> c(1024, 1);
   std::vector<int> written;
-  c.set_writeback([&](const int& k, int&) { written.push_back(k); });
+  c.set_writeback([&](const int& k, int&) {
+    written.push_back(k);
+    return Status::kOk;
+  });
   c.insert(1, 1);
   c.insert(2, 2);
   c.mark_dirty(1);
-  c.flush_all();
+  EXPECT_EQ(c.flush_all(), Status::kOk);
   ASSERT_EQ(written.size(), 1u);
   EXPECT_EQ(written[0], 1);
   // Entries remain cached and are now clean.
   EXPECT_NE(c.peek(1), nullptr);
-  c.flush_all();
+  EXPECT_EQ(c.flush_all(), Status::kOk);
   EXPECT_EQ(written.size(), 1u);
+}
+
+TEST(LruCache, FlushAllReportsFailedWriteBacks) {
+  LruCache<int, int> c(2, 1);  // 2 entries
+  Status result = Status::kIoError;
+  std::vector<int> written;
+  c.set_writeback([&](const int& k, int&) {
+    if (ok(result)) written.push_back(k);
+    return result;
+  });
+  c.insert(1, 1, /*dirty=*/true);
+  c.insert(2, 2, /*dirty=*/true);
+  c.insert(3, 3, /*dirty=*/true);  // evicts 1; its write-back fails
+  EXPECT_EQ(c.flush_all(), Status::kIoError);
+  result = Status::kOk;
+  // 2 and 3 stayed dirty; the lost eviction was reported once.
+  EXPECT_EQ(c.flush_all(), Status::kOk);
+  EXPECT_EQ(written, (std::vector<int>{3, 2}));
+  EXPECT_EQ(c.flush_all(), Status::kOk);
+  EXPECT_EQ(written.size(), 2u);
 }
 
 TEST(LruCache, EraseSkipsWriteback) {
   LruCache<int, int> c(1024, 1);
   int writebacks = 0;
-  c.set_writeback([&](const int&, int&) { ++writebacks; });
+  c.set_writeback([&](const int&, int&) {
+    ++writebacks;
+    return Status::kOk;
+  });
   c.insert(1, 1, /*dirty=*/true);
   c.erase(1);
   EXPECT_EQ(writebacks, 0);
@@ -77,11 +106,14 @@ TEST(LruCache, EraseSkipsWriteback) {
 TEST(LruCache, InsertReplacesAndMergesDirty) {
   LruCache<int, int> c(1024, 1);
   int writebacks = 0;
-  c.set_writeback([&](const int&, int&) { ++writebacks; });
+  c.set_writeback([&](const int&, int&) {
+    ++writebacks;
+    return Status::kOk;
+  });
   c.insert(1, 10, /*dirty=*/true);
   c.insert(1, 20, /*dirty=*/false);  // replacement keeps the dirty bit
   EXPECT_EQ(*c.peek(1), 20);
-  c.flush_all();
+  EXPECT_EQ(c.flush_all(), Status::kOk);
   EXPECT_EQ(writebacks, 1);
 }
 
@@ -97,7 +129,10 @@ TEST(LruCache, BudgetOfZeroStillHoldsOne) {
 TEST(LruCache, ShrinkCapacityEvicts) {
   LruCache<int, int> c(10 * 1, 1);
   std::vector<int> written;
-  c.set_writeback([&](const int& k, int&) { written.push_back(k); });
+  c.set_writeback([&](const int& k, int&) {
+    written.push_back(k);
+    return Status::kOk;
+  });
   for (int i = 0; i < 10; ++i) c.insert(i, i, /*dirty=*/true);
   c.set_capacity_entries(2);
   EXPECT_EQ(c.size(), 2u);
@@ -109,7 +144,10 @@ TEST(LruCache, ShrinkCapacityEvicts) {
 TEST(LruCache, ClearWritesBackDirty) {
   LruCache<int, int> c(1024, 1);
   int writebacks = 0;
-  c.set_writeback([&](const int&, int&) { ++writebacks; });
+  c.set_writeback([&](const int&, int&) {
+    ++writebacks;
+    return Status::kOk;
+  });
   c.insert(1, 1, /*dirty=*/true);
   c.insert(2, 2);
   c.clear();

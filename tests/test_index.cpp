@@ -2,8 +2,10 @@
 // multi-level hash baseline alike.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "flash/fault_injector.hpp"
@@ -48,12 +50,15 @@ TYPED_TEST_SUITE(IndexContract, Schemes, SchemeName);
 
 TYPED_TEST(IndexContract, FlushReturnsFailedWriteBack) {
   // flush() is a durability barrier: when a write-back it ran failed, it
-  // says so. Power dies during the first write-back's program; the other
-  // three are rejected while it is off.
+  // says so, and the table stays dirty for the next flush. Power dies
+  // during the first write-back's program; the other three are rejected
+  // while it is off.
   typename TypeParam::Rig rig(TypeParam::config());
   Rng rng(3);
+  std::vector<std::uint64_t> sigs;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(rig.index.put(rng.next(), i), Status::kOk) << i;
+    sigs.push_back(rng.next());
+    ASSERT_EQ(rig.index.put(sigs.back(), i), Status::kOk) << i;
   }
   ASSERT_EQ(rig.nand.stats().page_programs, 0u);  // all still cached, dirty
   flash::FaultInjector fi;
@@ -62,6 +67,20 @@ TYPED_TEST(IndexContract, FlushReturnsFailedWriteBack) {
   EXPECT_EQ(rig.index.flush(), Status::kIoError);
   EXPECT_TRUE(fi.powered_off());
   EXPECT_EQ(rig.index.op_stats().writeback_failures, 4u);
+
+  // Power returns: the next flush writes all four tables, and the
+  // directory image it leaves maps every key.
+  fi.power_on();
+  EXPECT_EQ(rig.index.flush(), Status::kOk);
+  EXPECT_EQ(rig.nand.stats().page_programs, 4u);
+  Bytes image;
+  ASSERT_EQ(rig.index.serialize_image(image), Status::kOk);
+  ASSERT_EQ(rig.index.load_image(image), Status::kOk);  // drops the cache
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(testutil::mapped(rig.index, sigs[static_cast<std::size_t>(i)]),
+              std::optional<flash::Ppa>(i))
+        << i;
+  }
   rig.nand.set_fault_injector(nullptr);
 }
 

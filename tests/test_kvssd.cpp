@@ -140,18 +140,6 @@ TEST(Kvssd, SignatureOfKeyIsMurmur64ByDefault) {
   EXPECT_EQ(dev.signature(key("abc")), hash::murmur2_64(key("abc")));
 }
 
-TEST(Kvssd, WideSignatureModeWorksEndToEnd) {
-  DeviceConfig cfg = small_config();
-  cfg.wide_signatures = true;  // §IV-A3: 128-bit signature generation
-  KvssdDevice dev(cfg);
-  EXPECT_EQ(dev.signature(key("abc")), hash::murmur3_128(key("abc")).lo);
-  ASSERT_EQ(dev.put(key("wide"), key("sig")), Status::kOk);
-  Bytes value;
-  ASSERT_EQ(dev.get(key("wide"), &value), Status::kOk);
-  EXPECT_EQ(rhik::to_string(value), "sig");
-  EXPECT_EQ(dev.del(key("wide")), Status::kOk);
-}
-
 TEST(Kvssd, FillsManyKeysAcrossResizes) {
   DeviceConfig cfg = small_config();
   cfg.dram_cache_bytes = 16 * 4096;

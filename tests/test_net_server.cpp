@@ -322,13 +322,23 @@ TEST(NetServer, KilledClientMidPipelineLeavesServerHealthy) {
   EXPECT_EQ(c.get("ghost", &v), KvsResult::KVS_ERR_KEY_NOT_EXIST);
 }
 
-TEST(NetServer, ConcurrentClientsMultiWorkerMixedOps) {
+TEST(NetServer, StartRejectsMoreThanOneLoop) {
+  // One event loop owns every connection; num_workers is fixed at 1.
+  api::KvsDevice dev(small_opts());
+  ServerConfig scfg;
+  scfg.num_workers = 2;
+  KvServer server(dev, scfg);
+  EXPECT_EQ(server.start(), Status::kInvalidArgument);
+  EXPECT_FALSE(server.running());
+}
+
+TEST(NetServer, ConcurrentClientsMixedOps) {
+  // Four clients against the one loop over a 2-shard array: completions
+  // arrive from both shard workers while requests keep arriving.
   api::KvsDeviceOptions dopts = small_opts();
   dopts.capacity_bytes = 1ull << 30;
   dopts.num_shards = 2;
-  ServerConfig scfg;
-  scfg.num_workers = 2;
-  ServerFixture fx(dopts, scfg);
+  ServerFixture fx(dopts);
   constexpr int kThreads = 4;
   constexpr int kOpsPer = 150;
   std::atomic<int> failures{0};

@@ -50,28 +50,6 @@ TEST(RhikConfig, Eq2DirectoryDramFootprint) {
   EXPECT_NEAR(bytes_per_key, 0.005, 0.003);
 }
 
-TEST(IndexPageSpare, RoundTrip) {
-  Bytes spare(64, 0xFF);
-  IndexPageSpare s;
-  s.generation = 3;
-  s.bucket = 0x123456789Aull;
-  s.record_count = 1700;
-  s.encode(spare);
-  const IndexPageSpare got = IndexPageSpare::decode(spare);
-  EXPECT_EQ(got.generation, 3u);
-  EXPECT_EQ(got.bucket, 0x123456789Aull);
-  EXPECT_EQ(got.record_count, 1700u);
-  // The encoding ends after record_count; the generic tag and the spare
-  // bytes past the encoding are untouched.
-  static_assert(IndexPageSpare::kEncodedSize == ftl::SpareTag::kEncodedSize + 16);
-  for (std::size_t i = 0; i < ftl::SpareTag::kEncodedSize; ++i) {
-    EXPECT_EQ(spare[i], 0xFF) << i;
-  }
-  for (std::size_t i = IndexPageSpare::kEncodedSize; i < spare.size(); ++i) {
-    EXPECT_EQ(spare[i], 0xFF) << i;
-  }
-}
-
 class CodecTest : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kPage = 4096;

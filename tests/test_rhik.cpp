@@ -293,20 +293,14 @@ struct UndecodedRig {
     }
   }
 
-  /// The live record page of `bucket`, found through the spare areas.
+  /// The live record page of `bucket`: its primary directory slot in
+  /// serialize_image() ([20-byte header][5-byte PPA per bucket]...).
   [[nodiscard]] Ppa live_page_of(std::uint64_t bucket) {
-    const auto& g = rig.nand.geometry();
-    Bytes spare(g.spare_size());
-    for (Ppa p = 0; p < g.pages_total(); ++p) {
-      if (!rig.nand.is_programmed(p) || !rig.index.gc_is_live_index_page(p)) continue;
-      EXPECT_EQ(rig.nand.read_page(p, {}, spare), Status::kOk);
-      if (ftl::SpareTag::decode(spare).kind == ftl::PageKind::kIndexRecord &&
-          IndexPageSpare::decode(spare).bucket == bucket) {
-        return p;
-      }
-    }
-    ADD_FAILURE() << "no live page for bucket " << bucket;
-    return flash::kInvalidPpa;
+    Bytes image;
+    EXPECT_EQ(rig.index.serialize_image(image), Status::kOk);
+    const Ppa p = get_u40(image, 20 + bucket * 5);
+    EXPECT_TRUE(rig.index.gc_is_live_index_page(p)) << "bucket " << bucket;
+    return p;
   }
 
   void expect_agrees_with_reference() {
