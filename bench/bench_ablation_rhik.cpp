@@ -27,7 +27,7 @@ struct Rig {
         alloc(&nand, 4),
         store(&nand, &alloc),
         index(&nand, &alloc, cfg, cache_bytes),
-        gc(&nand, &alloc, &store, &index) {}
+        gc(&nand, &alloc, &store, &index, bench::kRigGc) {}
   void pump() {
     if (alloc.needs_gc()) gc.collect(alloc.gc_reserve() + 4);
     index.pump_maintenance(0);  // the device's background migration quantum

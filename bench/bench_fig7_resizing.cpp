@@ -50,7 +50,7 @@ void run_stop_the_world() {
   // largely DRAM-resident record layer during migration; flash programs
   // are still charged through the simulated clock.
   index::RhikIndex index(&nand, &alloc, cfg, /*cache=*/192ull << 20);
-  ftl::GarbageCollector gc(&nand, &alloc, &store, &index);
+  ftl::GarbageCollector gc(&nand, &alloc, &store, &index, bench::kRigGc);
 
   const std::uint64_t target_keys = 4'000'000;
   Rng rng(42);
@@ -106,7 +106,7 @@ int run_halt_free_guard() {
   // ~800 k keys need ~16 MiB of record pages; an 8 MiB cache keeps half
   // the working set on flash so the latency tail is real.
   index::RhikIndex index(&nand, &alloc, cfg, /*cache=*/8ull << 20);
-  ftl::GarbageCollector gc(&nand, &alloc, &store, &index);
+  ftl::GarbageCollector gc(&nand, &alloc, &store, &index, bench::kRigGc);
 
   const std::uint64_t target_keys = 800'000;
   Rng rng(43);

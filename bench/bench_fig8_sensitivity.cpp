@@ -32,7 +32,7 @@ struct Rig {
         // collision metric is cache-independent and this keeps the
         // multi-million-key sweep fast.
         index(&nand, &alloc, cfg, 64ull << 20),
-        gc(&nand, &alloc, &store, &index) {}
+        gc(&nand, &alloc, &store, &index, bench::kRigGc) {}
   void pump() {
     if (alloc.needs_gc()) gc.collect(alloc.gc_reserve() + 4);
   }

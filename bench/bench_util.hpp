@@ -18,6 +18,14 @@
 
 namespace rhik::bench {
 
+/// The collector of the index-only rigs (fig7, fig8, ablation): greedy
+/// victims on one data stream, reclaimed only when the bench calls
+/// collect() — no background quanta and no wear pass.
+inline constexpr ftl::GcConfig kRigGc{.policy = ftl::GcPolicy::kGreedy,
+                                      .hot_cold_separation = false,
+                                      .background_free_blocks = 0,
+                                      .wear_leveling_threshold = 0.0};
+
 inline void heading(const std::string& title, const std::string& paper_ref) {
   std::printf("\n==============================================================\n");
   std::printf("%s\n", title.c_str());

@@ -128,10 +128,9 @@ class FlashKvStore {
   /// Hot/cold separation (HashKV-style): when on, `for_gc` writes —
   /// relocated survivors, by definition colder than fresh traffic — are
   /// packed into their own open page on the Stream::kCold append stream
-  /// instead of re-mixing with fresh writes. Off by default (single
-  /// open page, original behavior).
+  /// instead of re-mixing with fresh writes. Off until the collector
+  /// applies GcConfig::hot_cold_separation (single open page).
   void set_cold_separation(bool on) noexcept { cold_separation_ = on; }
-  [[nodiscard]] bool cold_separation() const noexcept { return cold_separation_; }
 
   /// Largest value storable with a key of `key_len` bytes (extent must
   /// fit one erase block).

@@ -7,10 +7,10 @@ namespace rhik::ftl {
 
 using flash::Ppa;
 
-PageAllocator::PageAllocator(flash::NandDevice* nand, std::uint32_t gc_reserve_blocks,
+PageAllocator::PageAllocator(flash::NandDevice* nand, std::uint32_t reserve_blocks,
                              std::uint32_t reserved_tail_blocks)
     : nand_(nand),
-      gc_reserve_(gc_reserve_blocks),
+      gc_reserve_(reserve_blocks),
       reserved_tail_(reserved_tail_blocks),
       blocks_(nand->geometry().num_blocks) {
   assert(nand_ != nullptr);

@@ -35,12 +35,12 @@ struct BlockCounts {
 
 class PageAllocator {
  public:
-  /// `gc_reserve_blocks` blocks are withheld from normal allocation so
+  /// `reserve_blocks` blocks are withheld from normal allocation so
   /// the garbage collector can always relocate live data.
   /// `reserved_tail_blocks` blocks at the *end* of the device are carved
   /// out entirely (checkpoint slots + journal ring); they never enter the
   /// free pool and are managed by their owner directly against the NAND.
-  PageAllocator(flash::NandDevice* nand, std::uint32_t gc_reserve_blocks = 4,
+  PageAllocator(flash::NandDevice* nand, std::uint32_t reserve_blocks = 4,
                 std::uint32_t reserved_tail_blocks = 0);
 
   PageAllocator(const PageAllocator&) = delete;

@@ -7,7 +7,7 @@
 #include "common/sim_clock.hpp"
 #include "flash/geometry.hpp"
 #include "flash/latency.hpp"
-#include "ftl/page_allocator.hpp"
+#include "ftl/gc.hpp"
 #include "index/mlhash/mlhash_index.hpp"
 #include "index/rhik/config.hpp"
 #include "obs/trace.hpp"
@@ -44,30 +44,8 @@ struct CheckpointConfig {
   std::uint32_t pump_pages = 8;
 };
 
-/// Garbage collection & wear leveling (DESIGN.md §9). The device default
-/// is the hot/cold-aware incremental collector; set `policy = kGreedy`,
-/// `hot_cold_separation = false` and `background_free_blocks = 0` to get
-/// the original synchronous greedy reclaim back.
-struct GcConfig {
-  /// Victim selection: greedy least-live-bytes, or cost-benefit
-  /// (1-u)/(2u)·age with an erase-count wear tiebreak.
-  ftl::GcPolicy policy = ftl::GcPolicy::kCostBenefit;
-  /// Steer GC-relocated (cold) pairs and fresh (hot) writes into
-  /// separate open blocks (HashKV-style separation).
-  bool hot_cold_separation = true;
-  /// Background GC engages when the free pool drops below this many
-  /// blocks (should sit above gc_reserve_blocks so foreground reclaim
-  /// stays the exception). 0 disables background quanta entirely.
-  std::uint32_t background_free_blocks = 8;
-  /// Victim pages relocated per background quantum (`gc_quantum_pages`
-  /// knob): bounds the work injected into one idle window.
-  std::uint32_t quantum_pages = 32;
-  /// Static wear pass triggers when max/mean block erase count exceeds
-  /// this ratio (`wear_leveling_threshold` knob); <= 0 disables it.
-  double wear_leveling_threshold = 1.5;
-  /// Background ticks between static-wear checks.
-  std::uint32_t wear_check_quanta = 64;
-};
+/// SNIA KV API key length cap: the device rejects longer keys.
+inline constexpr std::uint32_t kMaxKeySize = 255;
 
 struct DeviceConfig {
   flash::Geometry geometry{};  ///< paper default: 32 KiB pages, 256/block
@@ -81,13 +59,9 @@ struct DeviceConfig {
   /// 10 GB device — 1 MB per GB).
   std::uint64_t dram_cache_bytes = 10 * 1024 * 1024;
 
-  /// Blocks withheld for GC relocation headroom.
-  std::uint32_t gc_reserve_blocks = 4;
-  /// Foreground GC runs until this many free blocks exist.
-  std::uint32_t gc_target_free_blocks = 6;
   /// GC policy, hot/cold separation, background scheduling and wear
   /// leveling (DESIGN.md §9).
-  GcConfig gc{};
+  ftl::GcConfig gc{};
 
   // -- Command processing model (KVEMU-style IOPS model) ---------------------
   /// Fixed firmware + NVMe round-trip cost charged per command. In async
@@ -101,9 +75,6 @@ struct DeviceConfig {
   /// Same-signature commands keep their submission order; per-op status,
   /// completion and latency semantics are unchanged.
   bool batch_drain_grouping = true;
-
-  /// SNIA KV API key length cap.
-  std::uint32_t max_key_size = 255;
 
   /// §VI extension: derive key signatures from a 4 B key-prefix hash plus
   /// a 4 B suffix hash, enabling prefix iteration.

@@ -15,6 +15,15 @@ namespace rhik::kvssd {
 
 using flash::Ppa;
 
+namespace {
+
+/// Blocks withheld from host writes as GC relocation headroom.
+constexpr std::uint32_t kGcReserveBlocks = 4;
+/// Foreground GC reclaims until this many blocks are free.
+constexpr std::uint32_t kGcTargetFreeBlocks = 6;
+
+}  // namespace
+
 KvssdDevice::KvssdDevice(DeviceConfig cfg)
     : KvssdDevice(cfg, std::unique_ptr<flash::NandDevice>()) {
   enable_journaling();
@@ -32,7 +41,7 @@ KvssdDevice::KvssdDevice(DeviceConfig cfg, std::unique_ptr<flash::NandDevice> na
                                                 &clock_);
   }
   alloc_ = std::make_unique<ftl::PageAllocator>(
-      nand_.get(), cfg_.gc_reserve_blocks,
+      nand_.get(), kGcReserveBlocks,
       CheckpointManager::reserved_blocks(cfg_.checkpoint));
   store_ = std::make_unique<ftl::FlashKvStore>(nand_.get(), alloc_.get());
   switch (cfg_.index_kind) {
@@ -45,17 +54,9 @@ KvssdDevice::KvssdDevice(DeviceConfig cfg, std::unique_ptr<flash::NandDevice> na
           nand_.get(), alloc_.get(), cfg_.mlhash, cfg_.dram_cache_bytes);
       break;
   }
-  store_->set_cold_separation(cfg_.gc.hot_cold_separation);
-  alloc_->set_wear_aware(cfg_.gc.wear_leveling_threshold > 0.0);
-  ftl::GcTuning tuning;
-  tuning.policy = cfg_.gc.policy;
-  tuning.background_free_blocks = cfg_.gc.background_free_blocks;
-  tuning.quantum_pages = cfg_.gc.quantum_pages;
-  tuning.wear_leveling_threshold = cfg_.gc.wear_leveling_threshold;
-  tuning.wear_check_quanta = cfg_.gc.wear_check_quanta;
   gc_ = std::make_unique<ftl::GarbageCollector>(nand_.get(), alloc_.get(),
                                                 store_.get(), index_.get(),
-                                                tuning);
+                                                cfg_.gc);
   if (cfg_.snapshots != nullptr) {
     snaps_ = cfg_.snapshots;  // array-shared: one epoch across all shards
   } else {
@@ -558,23 +559,22 @@ bool KvssdDevice::pump_background() {
   return did_work;
 }
 
-Status KvssdDevice::maybe_gc() {
-  if (!alloc_->needs_gc()) return Status::kOk;
+Status KvssdDevice::reclaim() {
   stats_.gc_invocations++;
-  const Status s = gc_->collect(cfg_.gc_target_free_blocks);
+  obs::StageScope gc_span(active_trace_, obs::Stage::kGc, clock_);
+  const Status s = gc_->collect(kGcTargetFreeBlocks);
   // kDeviceFull from GC means nothing reclaimable; the caller decides
   // whether the foreground operation can still proceed.
   return s == Status::kDeviceFull ? Status::kOk : s;
 }
 
 Status KvssdDevice::put_locked(ByteSpan key, ByteSpan value) {
-  if (key.empty() || key.size() > cfg_.max_key_size) return Status::kInvalidArgument;
+  if (key.empty() || key.size() > kMaxKeySize) return Status::kInvalidArgument;
   if (value.size() > store_->max_value_size(key.size())) {
     return Status::kInvalidArgument;
   }
-  {
-    obs::StageScope gc_span(active_trace_, obs::Stage::kGc, clock_);
-    if (Status s = maybe_gc(); !ok(s)) return s;
+  if (alloc_->needs_gc()) {
+    if (Status s = reclaim(); !ok(s)) return s;
   }
 
   const std::uint64_t sig = signature(key);
@@ -614,14 +614,7 @@ Status KvssdDevice::put_locked(ByteSpan key, ByteSpan value) {
   auto new_ppa = timed_write();
   if (!new_ppa && new_ppa.status() == Status::kDeviceFull) {
     // Out of space mid-write: reclaim and retry once.
-    stats_.gc_invocations++;
-    {
-      obs::StageScope gc_span(active_trace_, obs::Stage::kGc, clock_);
-      if (Status s = gc_->collect(cfg_.gc_target_free_blocks);
-          !ok(s) && s != Status::kDeviceFull) {
-        return s;
-      }
-    }
+    if (Status s = reclaim(); !ok(s)) return s;
     new_ppa = timed_write();
   }
   if (!new_ppa) {
@@ -652,7 +645,7 @@ Status KvssdDevice::put_locked(ByteSpan key, ByteSpan value) {
 }
 
 Status KvssdDevice::get_locked(ByteSpan key, Bytes* value_out) {
-  if (key.empty() || key.size() > cfg_.max_key_size) return Status::kInvalidArgument;
+  if (key.empty() || key.size() > kMaxKeySize) return Status::kInvalidArgument;
   const std::uint64_t sig = signature(key);
   const auto looked = [&] {
     obs::StageScope span(active_trace_, obs::Stage::kIndex, clock_);
@@ -685,7 +678,7 @@ Status KvssdDevice::get_locked(ByteSpan key, Bytes* value_out) {
 }
 
 Status KvssdDevice::del_locked(ByteSpan key) {
-  if (key.empty() || key.size() > cfg_.max_key_size) return Status::kInvalidArgument;
+  if (key.empty() || key.size() > kMaxKeySize) return Status::kInvalidArgument;
   const std::uint64_t sig = signature(key);
   const auto looked = [&] {
     obs::StageScope span(active_trace_, obs::Stage::kIndex, clock_);
@@ -726,14 +719,7 @@ Status KvssdDevice::del_locked(ByteSpan key) {
   };
   auto ts = timed_tombstone(/*for_gc=*/false);
   if (!ts && ts.status() == Status::kDeviceFull) {
-    stats_.gc_invocations++;
-    {
-      obs::StageScope gc_span(active_trace_, obs::Stage::kGc, clock_);
-      if (Status s = gc_->collect(cfg_.gc_target_free_blocks);
-          !ok(s) && s != Status::kDeviceFull) {
-        return s;
-      }
-    }
+    if (Status s = reclaim(); !ok(s)) return s;
     ts = timed_tombstone(/*for_gc=*/false);
     if (!ts && ts.status() == Status::kDeviceFull) {
       ts = timed_tombstone(/*for_gc=*/true);
@@ -785,7 +771,7 @@ Status KvssdDevice::del(ByteSpan key) {
 }
 
 Status KvssdDevice::exist(ByteSpan key) {
-  if (key.empty() || key.size() > cfg_.max_key_size) return Status::kInvalidArgument;
+  if (key.empty() || key.size() > kMaxKeySize) return Status::kInvalidArgument;
   charge_command(/*async=*/false);
   stats_.exists++;
   // Signature-only membership (§IV-A3). A metadata read failure is the
@@ -808,7 +794,7 @@ Status KvssdDevice::release_snapshot(const api::SnapshotHandle& snap) {
 
 Status KvssdDevice::read_at(const api::SnapshotHandle& snap, ByteSpan key,
                             Bytes* value_out) {
-  if (key.empty() || key.size() > cfg_.max_key_size) {
+  if (key.empty() || key.size() > kMaxKeySize) {
     return Status::kInvalidArgument;
   }
   charge_command(/*async=*/false);

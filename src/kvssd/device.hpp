@@ -243,9 +243,10 @@ class KvssdDevice : public api::IKvsBackend {
   /// queue depth.
   void charge_command(bool async);
 
-  /// Runs foreground GC if free space is low. Returns kDeviceFull only
-  /// when nothing could be reclaimed.
-  Status maybe_gc();
+  /// Foreground GC until kGcTargetFreeBlocks blocks are free, timed as
+  /// the op's GC stage. kDeviceFull (nothing left to reclaim) reads as
+  /// kOk: the caller's write decides whether the op still fits.
+  Status reclaim();
 
   /// Connects the index's journal feed and the allocator's pre-erase
   /// flush to the checkpoint manager. Deferred until after recovery

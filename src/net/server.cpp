@@ -15,6 +15,8 @@
 #include <cstring>
 #include <utility>
 
+#include "kvssd/config.hpp"
+
 namespace rhik::net {
 
 namespace {
@@ -23,10 +25,6 @@ namespace {
 constexpr std::uint64_t kTagListen = 0;
 constexpr std::uint64_t kTagEvent = 1;
 constexpr std::uint64_t kFirstConnId = 2;
-
-/// The emulated device's key ceiling (kvssd::DeviceConfig::max_key_size
-/// default); the tenant prefix rides inside it.
-constexpr std::size_t kDeviceMaxKey = 255;
 
 std::string_view as_sv(const Bytes& b) noexcept {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
@@ -464,9 +462,10 @@ void KvServer::handle_request(Conn& c, RequestFrame&& f) {
     return;
   }
 
-  // PUT / GET / DEL: the async path.
+  // PUT / GET / DEL: the async path. The tenant prefix rides inside the
+  // device's key ceiling.
   if (f.key.empty() ||
-      f.key.size() + kTenantPrefixLen > kDeviceMaxKey) {
+      f.key.size() + kTenantPrefixLen > kvssd::kMaxKeySize) {
     respond_now(c, f, api::KvsResult::KVS_ERR_KEY_LENGTH_INVALID);
     return;
   }

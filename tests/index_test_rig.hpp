@@ -25,7 +25,11 @@ struct IndexRig {
         alloc(&nand, 2),
         store(&nand, &alloc),
         index(&nand, &alloc, cfg, cache_bytes),
-        gc(&nand, &alloc, &store, &index) {}
+        gc(&nand, &alloc, &store, &index,
+           {.policy = ftl::GcPolicy::kGreedy,
+            .hot_cold_separation = false,
+            .background_free_blocks = 0,
+            .wear_leveling_threshold = 0.0}) {}
 
   /// Foreground GC, as the device layer would run it before writes.
   void maybe_gc() {

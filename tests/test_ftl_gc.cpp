@@ -51,7 +51,11 @@ class GcTest : public ::testing::Test {
       : nand_(Geometry::tiny(8), NandLatency::kvemu_defaults(), &clock_),
         alloc_(&nand_, 2),
         store_(&nand_, &alloc_),
-        gc_(&nand_, &alloc_, &store_, &hooks_) {}
+        gc_(&nand_, &alloc_, &store_, &hooks_,
+            {.policy = GcPolicy::kGreedy,
+             .hot_cold_separation = false,
+             .background_free_blocks = 0,
+             .wear_leveling_threshold = 0.0}) {}
 
   /// Writes a pair and registers it in the mock index.
   void put(std::uint64_t sig, const std::string& value) {
