@@ -137,6 +137,41 @@ TEST(ParseHeadPage, DetectsFooterDataMismatch) {
   EXPECT_FALSE(parse_head_page(page, kPage).has_value());
 }
 
+TEST(FindPairInPage, VersionsOrderByEpochThenAppendPosition) {
+  // GC can append an older (snapshot-retained) version after the current
+  // one: [sig 5 @ epoch 9, sig 6 @ epoch 7, sig 5 @ epoch 4].
+  DataPageBuilder b(kPage);
+  const auto append = [&](std::uint64_t sig, std::uint64_t epoch,
+                          const std::string& v) {
+    PairHeader h = hdr(sig, 2, static_cast<std::uint32_t>(v.size()));
+    h.epoch = epoch;
+    b.append(h, as_bytes(std::string("kk")), as_bytes(v));
+  };
+  append(5, 9, "current");
+  append(6, 7, "other");
+  append(5, 4, "retained");
+  const ByteSpan page = b.finalize();
+  ParsedPair p;
+  ASSERT_EQ(find_pair_in_page(page, kPage, 5, &p), PageFind::kFound);
+  EXPECT_EQ(p.header.epoch, 9u);
+  EXPECT_EQ(p.offset, 0u);
+  ASSERT_EQ(find_pair_in_page_at(page, kPage, 5, 8, &p), PageFind::kFound);
+  EXPECT_EQ(p.header.epoch, 4u);
+  ASSERT_EQ(find_pair_in_page_at(page, kPage, 5, 100, &p), PageFind::kFound);
+  EXPECT_EQ(p.header.epoch, 9u);
+  EXPECT_EQ(find_pair_in_page_at(page, kPage, 5, 3, &p), PageFind::kAbsent);
+  ASSERT_EQ(find_pair_in_page(page, kPage, 6, &p), PageFind::kFound);
+  EXPECT_EQ(p.header.epoch, 7u);
+
+  // Equal epochs (an in-page update within one epoch): the later wins.
+  b.reset();
+  append(5, 3, "first");
+  append(5, 3, "second");
+  const ByteSpan same = b.finalize();
+  ASSERT_EQ(find_pair_in_page(same, kPage, 5, &p), PageFind::kFound);
+  EXPECT_GT(p.offset, 0u);
+}
+
 TEST(ExtentMath, ContinuationPageCount) {
   flash::Geometry g = flash::Geometry::tiny();  // 4 KiB pages
   const std::uint64_t head_cap = g.page_size - PageFooter::size_for(1);
