@@ -89,15 +89,16 @@ class LruCache {
     }
     lru_.push_front(Node{key, std::move(value), dirty});
     map_[key] = lru_.begin();
-    while (map_.size() > capacity_) evict_lru();
+    shrink_to_budget();
     return &lru_.begin()->value;
   }
 
   /// Evicts the LRU entry now (writing back if dirty) and hands its value
-  /// to the caller for storage reuse; nullopt while under budget. Pairing
-  /// this with the following insert() keeps the eviction count identical
-  /// to letting insert() evict, but lets a miss path recycle the victim's
-  /// heap allocations instead of freeing them and allocating afresh.
+  /// to the caller for storage reuse; nullopt while under budget or when
+  /// the write-back fails. Pairing this with the following insert() keeps
+  /// the eviction count identical to letting insert() evict, but lets a
+  /// miss path recycle the victim's heap allocations instead of freeing
+  /// them and allocating afresh.
   std::optional<V> take_lru_if_full() {
     if (map_.size() < capacity_) return std::nullopt;
     return evict_lru();
@@ -119,11 +120,9 @@ class LruCache {
 
   /// Writes back every dirty entry; entries stay cached. An entry whose
   /// write-back fails stays dirty, so a later flush writes it. Returns
-  /// the first failure, counting an eviction since the previous
-  /// flush_all() whose write-back failed: its updates left the cache
-  /// unwritten, so this flush cannot report them durable.
+  /// the first failure.
   Status flush_all() {
-    Status first = std::exchange(evict_error_, Status::kOk);
+    Status first = Status::kOk;
     for (auto& node : lru_) {
       if (!node.dirty) continue;
       const Status s = writeback_ ? writeback_(node.key, node.value) : Status::kOk;
@@ -147,7 +146,7 @@ class LruCache {
   /// Changes the entry budget; evicts immediately if shrinking.
   void set_capacity_entries(std::uint64_t entries) {
     capacity_ = entries == 0 ? 1 : entries;
-    while (map_.size() > capacity_) evict_lru();
+    shrink_to_budget();
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
@@ -162,16 +161,23 @@ class LruCache {
     bool dirty = false;
   };
 
+  /// Evicts LRU entries until the cache is within budget. Stops at the
+  /// first failed write-back rather than retry the same entry.
+  void shrink_to_budget() {
+    while (map_.size() > capacity_ && evict_lru().has_value()) {}
+  }
+
   /// Removes the LRU entry, writing it back first if dirty, and returns
-  /// its value. The entry leaves the cache even when its write-back
-  /// fails; the next flush_all() reports that failure.
-  V evict_lru() {
+  /// its value. An entry whose write-back fails stays cached and dirty,
+  /// so the next flush_all() writes it, and nullopt is returned: the
+  /// cache sits over budget until a later eviction succeeds.
+  std::optional<V> evict_lru() {
     assert(!lru_.empty());
     Node& victim = lru_.back();
     if (victim.dirty) {
       const Status s = writeback_ ? writeback_(victim.key, victim.value) : Status::kOk;
-      if (!ok(s) && ok(evict_error_)) evict_error_ = s;
       stats_.dirty_writebacks++;
+      if (!ok(s)) return std::nullopt;
     }
     stats_.evictions++;
     V out = std::move(victim.value);
@@ -184,7 +190,6 @@ class LruCache {
   std::list<Node> lru_;
   std::unordered_map<K, typename std::list<Node>::iterator> map_;
   WritebackFn writeback_;
-  Status evict_error_ = Status::kOk;  ///< first failed eviction write-back
   CacheStats stats_;
 };
 

@@ -79,14 +79,21 @@ TEST(LruCache, FlushAllReportsFailedWriteBacks) {
   });
   c.insert(1, 1, /*dirty=*/true);
   c.insert(2, 2, /*dirty=*/true);
-  c.insert(3, 3, /*dirty=*/true);  // evicts 1; its write-back fails
+  // Evicting 1 fails: 1 stays cached and dirty, over budget, and the
+  // eviction loop stops there instead of retrying it.
+  c.insert(3, 3, /*dirty=*/true);
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.stats().dirty_writebacks, 1u);
   EXPECT_EQ(c.flush_all(), Status::kIoError);
   result = Status::kOk;
-  // 2 and 3 stayed dirty; the lost eviction was reported once.
+  // All three stayed dirty: the next flush writes them.
   EXPECT_EQ(c.flush_all(), Status::kOk);
-  EXPECT_EQ(written, (std::vector<int>{3, 2}));
+  EXPECT_EQ(written, (std::vector<int>{3, 2, 1}));
   EXPECT_EQ(c.flush_all(), Status::kOk);
-  EXPECT_EQ(written.size(), 2u);
+  EXPECT_EQ(written.size(), 3u);
+  // Back under budget at the next insert.
+  c.insert(4, 4);
+  EXPECT_EQ(c.size(), 2u);
 }
 
 TEST(LruCache, EraseSkipsWriteback) {

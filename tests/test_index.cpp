@@ -82,6 +82,30 @@ TYPED_TEST(IndexContract, FlushReturnsFailedWriteBack) {
         << i;
   }
   rig.nand.set_fault_injector(nullptr);
+
+  // An eviction's write-back fails the same way. With one cached table,
+  // the first miss evicts a dirty table and power dies during that
+  // program: the table stays cached and dirty, and a later eviction or
+  // the flush writes it once power is back.
+  typename TypeParam::Rig one(TypeParam::config(),
+                              /*cache_bytes=*/flash::Geometry::tiny().page_size);
+  flash::FaultInjector cut;
+  one.nand.set_fault_injector(&cut);
+  cut.arm_after(1, flash::TornWritePolicy::kNone);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(one.index.put(sigs[static_cast<std::size_t>(i)], i), Status::kOk) << i;
+    if (cut.powered_off()) cut.power_on();
+  }
+  EXPECT_GT(one.index.op_stats().writeback_failures, 0u);
+  EXPECT_EQ(one.index.flush(), Status::kOk);
+  ASSERT_EQ(one.index.serialize_image(image), Status::kOk);
+  ASSERT_EQ(one.index.load_image(image), Status::kOk);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(testutil::mapped(one.index, sigs[static_cast<std::size_t>(i)]),
+              std::optional<flash::Ppa>(i))
+        << i;
+  }
+  one.nand.set_fault_injector(nullptr);
 }
 
 }  // namespace
