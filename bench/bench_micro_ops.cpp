@@ -305,13 +305,13 @@ int metrics_overhead_report() {
 }
 
 // -- Probe length --------------------------------------------------------------
-// Mean/max candidate slots a find() touches in the hopscotch
-// neighbourhood at representative fills: the figure the SIMD probe
-// compresses (several candidates per vector compare instead of one per
-// scalar step).
+// Mean/max candidate slots a find() compares in the hopscotch
+// neighbourhood at representative fills. The probe compares only the
+// slots the home bucket's hopinfo marks, and this figure (about 1.2-1.4
+// on average) is why one compare per candidate is enough: a vector
+// compare of several lanes per step has nothing to batch.
 void probe_length_report() {
-  std::printf("\n-- hopscotch probe length (capacity 1927, H=32, %s probe) --\n",
-              hash::HopscotchTable::simd_backend());
+  std::printf("\n-- hopscotch probe length (capacity 1927, H=32) --\n");
   for (const int fill_pct : {50, 80}) {
     hash::HopscotchTable table(1927, 32);
     Rng rng(7);

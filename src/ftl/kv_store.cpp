@@ -10,6 +10,16 @@ namespace rhik::ftl {
 
 using flash::Ppa;
 
+namespace {
+
+/// Copies the stored key of `p` out of its head page.
+void copy_key(ByteSpan page, const ParsedPair& p, Bytes* key_out) {
+  const ByteSpan k = page.subspan(p.offset + PairHeader::kSize, p.header.key_len);
+  key_out->assign(k.begin(), k.end());
+}
+
+}  // namespace
+
 FlashKvStore::FlashKvStore(flash::NandDevice* nand, PageAllocator* alloc)
     : nand_(nand),
       alloc_(alloc),
@@ -171,36 +181,28 @@ Result<Ppa> FlashKvStore::write_internal(std::uint64_t sig, ByteSpan key,
   return *base;
 }
 
-Result<ByteSpan> FlashKvStore::load_head_page(Ppa ppa, ByteSpan* spare_out) {
-  for (OpenPage* open : {&hot_, &cold_}) {
-    if (open->ppa && *open->ppa == ppa) {
-      // Serve straight from the write buffer: finalize() patches the
-      // footer in place and hands back a view of the builder's image.
-      if (spare_out != nullptr) *spare_out = {};
-      return open->builder.finalize();
-    }
-  }
+Result<ByteSpan> FlashKvStore::locate(Ppa start, std::uint64_t sig,
+                                      std::uint64_t max_epoch, ParsedPair* out) {
+  // A buffered page is served straight from its write buffer: finalize()
+  // patches the footer in place and hands back a view of the builder's
+  // image, and `spare` stays empty (no tag to check).
   ByteSpan page, spare;
-  if (Status s = nand_->read_page_view(ppa, &page, &spare); !ok(s)) return s;
-  if (spare_out != nullptr) {
-    *spare_out = spare;
-    return page;
+  if (hot_.ppa == start) {
+    page = hot_.builder.finalize();
+  } else if (cold_.ppa == start) {
+    page = cold_.builder.finalize();
+  } else if (Status s = nand_->read_page_view(start, &page, &spare); !ok(s)) {
+    return s;
   }
-  const SpareTag tag = SpareTag::decode(spare);
-  if (tag.kind != PageKind::kDataHead) return Status::kCorruption;
-  return page;
-}
-
-Status FlashKvStore::read_pair(Ppa start, std::uint64_t sig, Bytes* key_out,
-                               Bytes* value_out, std::uint64_t* epoch_out) {
-  const auto& g = nand_->geometry();
-  ByteSpan spare;
-  const auto page = load_head_page(start, &spare);
-  if (!page) return page.status();
-  ParsedPair pair;
-  const PageFind found = find_pair_in_page(*page, g.page_size, sig, &pair);
-  // Deferred tag check (see load_head_page): runs before any parse
-  // result is trusted, after the scan covered the spare line's miss.
+  // Uncapped, the backward footer scan (the get path) finds the newest
+  // copy; a snapshot cap walks the page forward.
+  const std::uint32_t page_size = nand_->geometry().page_size;
+  const PageFind found =
+      max_epoch == kEpochMax
+          ? find_pair_in_page(page, page_size, sig, out)
+          : find_pair_in_page_at(page, page_size, sig, max_epoch, out);
+  // The kDataHead tag check runs only now, before any parse result is
+  // trusted: the scan above hides the spare line's cache miss.
   if (!spare.empty() && SpareTag::decode(spare).kind != PageKind::kDataHead) {
     return Status::kCorruption;
   }
@@ -209,36 +211,46 @@ Status FlashKvStore::read_pair(Ppa start, std::uint64_t sig, Bytes* key_out,
     case PageFind::kAbsent: return Status::kNotFound;
     case PageFind::kFound: break;
   }
-  const ParsedPair* p = &pair;
-  if (epoch_out) *epoch_out = p->header.epoch;
+  return page;
+}
 
-  const std::size_t key_off = p->offset + PairHeader::kSize;
-  if (key_out) {
-    const ByteSpan k = page->subspan(key_off, p->header.key_len);
-    key_out->assign(k.begin(), k.end());
-  }
-  if (value_out) {
-    value_out->clear();
-    value_out->reserve(p->header.val_len);
-    const std::size_t val_off = key_off + p->header.key_len;
-    const std::size_t in_page_val = p->in_page_bytes - PairHeader::kSize - p->header.key_len;
-    const ByteSpan v = page->subspan(val_off, in_page_val);
-    value_out->insert(value_out->end(), v.begin(), v.end());
-    std::size_t remaining = p->header.val_len - in_page_val;
-    Ppa next = start + 1;
-    while (remaining > 0) {
-      const std::size_t chunk = std::min<std::size_t>(g.page_size, remaining);
-      ByteSpan cont;
-      if (Status s = nand_->read_page_view(next, &cont, nullptr,
-                                           static_cast<std::uint32_t>(chunk));
-          !ok(s)) {
-        return s;
-      }
-      value_out->insert(value_out->end(), cont.begin(),
-                        cont.begin() + static_cast<std::ptrdiff_t>(chunk));
-      remaining -= chunk;
-      ++next;
+Status FlashKvStore::copy_value(Ppa start, ByteSpan page, const ParsedPair& p,
+                                Bytes* value_out) {
+  const std::uint32_t page_size = nand_->geometry().page_size;
+  const std::size_t val_off = p.offset + PairHeader::kSize + p.header.key_len;
+  const std::size_t in_page_val =
+      p.in_page_bytes - PairHeader::kSize - p.header.key_len;
+  value_out->clear();
+  value_out->reserve(p.header.val_len);
+  const ByteSpan v = page.subspan(val_off, in_page_val);
+  value_out->insert(value_out->end(), v.begin(), v.end());
+  std::size_t remaining = p.header.val_len - in_page_val;
+  Ppa next = start + 1;
+  while (remaining > 0) {
+    const std::size_t chunk = std::min<std::size_t>(page_size, remaining);
+    ByteSpan cont;
+    if (Status s = nand_->read_page_view(next, &cont, nullptr,
+                                         static_cast<std::uint32_t>(chunk));
+        !ok(s)) {
+      return s;
     }
+    value_out->insert(value_out->end(), cont.begin(),
+                      cont.begin() + static_cast<std::ptrdiff_t>(chunk));
+    remaining -= chunk;
+    ++next;
+  }
+  return Status::kOk;
+}
+
+Status FlashKvStore::read_pair(Ppa start, std::uint64_t sig, Bytes* key_out,
+                               Bytes* value_out, std::uint64_t* epoch_out) {
+  ParsedPair p;
+  const auto page = locate(start, sig, kEpochMax, &p);
+  if (!page) return page.status();
+  if (epoch_out) *epoch_out = p.header.epoch;
+  if (key_out) copy_key(*page, p, key_out);
+  if (value_out) {
+    if (Status s = copy_value(start, *page, p, value_out); !ok(s)) return s;
   }
   stats_.pairs_read++;
   return Status::kOk;
@@ -247,80 +259,28 @@ Status FlashKvStore::read_pair(Ppa start, std::uint64_t sig, Bytes* key_out,
 Status FlashKvStore::read_pair_at(Ppa start, std::uint64_t sig,
                                   std::uint64_t max_epoch, Bytes* key_out,
                                   Bytes* value_out, bool* tombstone_out) {
-  const auto& g = nand_->geometry();
   if (tombstone_out) *tombstone_out = false;
-  ByteSpan spare;
-  const auto page = load_head_page(start, &spare);
-  if (!page) return page.status();
   ParsedPair p;
-  const PageFind found =
-      find_pair_in_page_at(*page, g.page_size, sig, max_epoch, &p);
-  if (!spare.empty() && SpareTag::decode(spare).kind != PageKind::kDataHead) {
-    return Status::kCorruption;
-  }
-  switch (found) {
-    case PageFind::kCorrupt: return Status::kCorruption;
-    case PageFind::kAbsent: return Status::kNotFound;
-    case PageFind::kFound: break;
-  }
-
-  const std::size_t key_off = p.offset + PairHeader::kSize;
-  if (key_out) {
-    const ByteSpan k = page->subspan(key_off, p.header.key_len);
-    key_out->assign(k.begin(), k.end());
-  }
+  const auto page = locate(start, sig, max_epoch, &p);
+  if (!page) return page.status();
+  if (key_out) copy_key(*page, p, key_out);
   if (p.header.tombstone) {
     if (tombstone_out) *tombstone_out = true;
     return Status::kOk;
   }
   if (value_out) {
-    value_out->clear();
-    value_out->reserve(p.header.val_len);
-    const std::size_t val_off = key_off + p.header.key_len;
-    const std::size_t in_page_val =
-        p.in_page_bytes - PairHeader::kSize - p.header.key_len;
-    const ByteSpan v = page->subspan(val_off, in_page_val);
-    value_out->insert(value_out->end(), v.begin(), v.end());
-    std::size_t remaining = p.header.val_len - in_page_val;
-    Ppa next = start + 1;
-    while (remaining > 0) {
-      const std::size_t chunk = std::min<std::size_t>(g.page_size, remaining);
-      ByteSpan cont;
-      if (Status s = nand_->read_page_view(next, &cont, nullptr,
-                                           static_cast<std::uint32_t>(chunk));
-          !ok(s)) {
-        return s;
-      }
-      value_out->insert(value_out->end(), cont.begin(),
-                        cont.begin() + static_cast<std::ptrdiff_t>(chunk));
-      remaining -= chunk;
-      ++next;
-    }
+    if (Status s = copy_value(start, *page, p, value_out); !ok(s)) return s;
   }
   stats_.pairs_read++;
   return Status::kOk;
 }
 
 Result<PairMeta> FlashKvStore::read_pair_meta(Ppa start, std::uint64_t sig) {
-  ByteSpan spare;
-  const auto page = load_head_page(start, &spare);
-  if (!page) return page.status();
   ParsedPair p;
-  const PageFind found =
-      find_pair_in_page(*page, nand_->geometry().page_size, sig, &p);
-  if (!spare.empty() && SpareTag::decode(spare).kind != PageKind::kDataHead) {
-    return Status::kCorruption;
-  }
-  switch (found) {
-    case PageFind::kCorrupt: return Status::kCorruption;
-    case PageFind::kAbsent: return Status::kNotFound;
-    case PageFind::kFound: break;
-  }
-
+  const auto page = locate(start, sig, kEpochMax, &p);
+  if (!page) return page.status();
   PairMeta meta;
-  const std::size_t key_off = p.offset + PairHeader::kSize;
-  const ByteSpan k = page->subspan(key_off, p.header.key_len);
-  meta.key.assign(k.begin(), k.end());
+  copy_key(*page, p, &meta.key);
   meta.value_len = p.header.val_len;
   meta.total_bytes = p.header.pair_bytes();
   meta.epoch = p.header.epoch;

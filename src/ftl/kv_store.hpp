@@ -73,9 +73,9 @@ class FlashKvStore {
                                      std::uint64_t epoch = 0);
 
   /// Reads the pair with signature `sig` starting at `start`. When a page
-  /// holds several versions of the same signature, the most recently
-  /// appended one wins. `epoch_out`, when given, receives the winner's
-  /// version stamp.
+  /// holds several versions of the same signature, the newest by
+  /// newer_in_page() wins. `epoch_out`, when given, receives the
+  /// winner's version stamp.
   Status read_pair(flash::Ppa start, std::uint64_t sig, Bytes* key_out,
                    Bytes* value_out, std::uint64_t* epoch_out = nullptr);
 
@@ -171,18 +171,19 @@ class FlashKvStore {
   Result<flash::Ppa> write_internal(std::uint64_t sig, ByteSpan key, ByteSpan value,
                                     bool tombstone, bool for_gc,
                                     std::uint64_t epoch);
-  /// Zero-copy view of a head page image, either straight into NAND page
-  /// storage or into an open write buffer. Valid until the next write /
-  /// flush / erase touching the source — callers parse and copy out what
-  /// they keep before returning.
-  ///
-  /// With `spare_out` the kDataHead tag check is handed to the caller:
-  /// `*spare_out` gets the spare view ({} when the page came from an open
-  /// write buffer, which needs no check). Deferring the check past the
-  /// caller's first scan of the page hides the spare line's cache miss
-  /// behind that work — the caller must validate before using any parse
-  /// result.
-  Result<ByteSpan> load_head_page(flash::Ppa ppa, ByteSpan* spare_out = nullptr);
+  /// The one locate step of every reader: finds `sig` in the head page
+  /// at `start` — the newest copy, or with `max_epoch` below kEpochMax
+  /// the newest stamped at or below it. Returns a zero-copy view of the
+  /// page, straight into NAND page storage or into an open write buffer,
+  /// with `*out` set; kNotFound when the page holds no such pair, or
+  /// kCorruption. The view is valid until the next write / flush / erase
+  /// touching the source — callers copy out what they keep.
+  Result<ByteSpan> locate(flash::Ppa start, std::uint64_t sig,
+                          std::uint64_t max_epoch, ParsedPair* out);
+  /// Copies the value of `p`, found by locate() in head page `page` at
+  /// `start`, reading its continuation pages when it spills.
+  Status copy_value(flash::Ppa start, ByteSpan page, const ParsedPair& p,
+                    Bytes* value_out);
 
   Status program_open_page(OpenPage& open);
   /// The buffer a write of this class lands in under the current policy.

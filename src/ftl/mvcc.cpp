@@ -18,16 +18,18 @@ std::atomic<std::uint64_t> g_next_pin_id{1};
 
 SnapshotRegistry::Pin SnapshotRegistry::open() {
   std::lock_guard lk(mu_);
-  // Order matters: the pin count must be visible (seq_cst) before the
-  // epoch advance, so a mutation that reads pin_count == 0 provably
+  // Order matters: the pin count and a newest no stamp exceeds must be
+  // visible (seq_cst) before the epoch advance, so a mutation that reads
+  // pin_count == 0 or a newest below its dying version's stamp provably
   // stamped at-or-above this pin's epoch. See the header comment.
   pin_count_.fetch_add(1, std::memory_order_seq_cst);
+  newest_.store(kEpochMax, std::memory_order_seq_cst);
   const std::uint64_t e = epochs_->advance() - 1;  // pre-advance value
   const std::uint64_t id =
       g_next_pin_id.fetch_add(1, std::memory_order_relaxed);
   pins_.emplace(id, Entry{e, false});
   stats_.opened++;
-  recompute_floor_locked();
+  recompute_bounds_locked();
   return Pin{id, e};
 }
 
@@ -41,7 +43,7 @@ Status SnapshotRegistry::release(std::uint64_t id, std::uint64_t epoch) {
   }
   pins_.erase(it);
   stats_.released++;
-  recompute_floor_locked();
+  recompute_bounds_locked();
   return Status::kOk;
 }
 
@@ -81,15 +83,19 @@ void SnapshotRegistry::add_retained(std::uint64_t bytes) {
   oldest->second.expired = true;
   pin_count_.fetch_sub(1, std::memory_order_seq_cst);
   stats_.expired++;
-  recompute_floor_locked();
+  recompute_bounds_locked();
 }
 
-void SnapshotRegistry::recompute_floor_locked() {
+void SnapshotRegistry::recompute_bounds_locked() {
   std::uint64_t f = kEpochMax;
+  std::uint64_t n = 0;
   for (const auto& [id, e] : pins_) {
-    if (!e.expired) f = std::min(f, e.epoch);
+    if (e.expired) continue;
+    f = std::min(f, e.epoch);
+    n = std::max(n, e.epoch);
   }
   floor_.store(f, std::memory_order_seq_cst);
+  newest_.store(n, std::memory_order_seq_cst);
 }
 
 std::size_t SnapshotRegistry::open_pins() const {

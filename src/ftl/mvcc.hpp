@@ -13,21 +13,24 @@
 //     earlier than the first.
 //
 //   * SnapshotRegistry — the pin table. open() advances the epoch and
-//     pins its pre-advance value; mutations that overwrite a version
-//     while any pin exists hand the dying version to the retainer
-//     instead of freeing it. The registry tracks the min-pinned-epoch
-//     watermark ("floor") that reclamation honors, and the global
-//     retained-byte budget: when deferred garbage exceeds the bound,
-//     the OLDEST pin is expired — its holder gets kSnapshotTooOld on
-//     next use, never a torn view.
+//     pins its pre-advance value; a mutation that overwrites a version
+//     some pin can read (the newest pinned epoch is at or above the
+//     version's stamp) hands the dying version to the retainer instead
+//     of freeing it. The registry tracks the min-pinned-epoch watermark
+//     ("floor") that reclamation honors, the max-pinned-epoch ("newest")
+//     that capture checks, and the global retained-byte budget: when
+//     deferred garbage exceeds the bound, the OLDEST pin is expired —
+//     its holder gets kSnapshotTooOld on next use, never a torn view.
 //
 //     Memory ordering (why no cross-shard barrier is needed): open()
-//     increments pin_count and THEN advances the epoch, both seq_cst;
-//     a mutation stamps the epoch (seq_cst load) and then checks
-//     pin_count. If the mutation read pin_count == 0, the pin's
-//     epoch-advance had not yet happened in the seq_cst total order,
-//     so the pin's epoch is >= the mutation's stamp and the NEW version
-//     is the one the snapshot reads — skipping retention was safe.
+//     increments pin_count and publishes newest = kEpochMax, THEN
+//     advances the epoch, all seq_cst; a mutation stamps the epoch
+//     (seq_cst RMW) and then checks pin_count and newest. If the
+//     mutation read pin_count == 0 or a newest below the dying
+//     version's stamp, the pin's epoch-advance had not yet happened in
+//     the seq_cst total order, so the pin's epoch is >= the mutation's
+//     stamp and the NEW version is the one the snapshot reads —
+//     skipping retention was safe.
 //
 //   * VersionRetainer — per-device (worker-thread-owned) table of
 //     superseded versions kept alive for pinned snapshots. An entry is
@@ -120,8 +123,8 @@ class SnapshotRegistry {
   /// handle / post-crash) or was expired by the retention bound.
   [[nodiscard]] Result<std::uint64_t> epoch_of(std::uint64_t id) const;
 
-  /// Fast mutation-path check — nonzero means "defer the dying version
-  /// to the retainer". seq_cst; see the header comment for the ordering
+  /// Fast mutation-path check — zero means "no pin needs the dying
+  /// version". seq_cst; see the header comment for the ordering
   /// argument.
   [[nodiscard]] std::uint64_t pin_count() const noexcept {
     return pin_count_.load(std::memory_order_seq_cst);
@@ -130,6 +133,13 @@ class SnapshotRegistry {
   /// current epoch when nothing is pinned. Entries whose window ends
   /// at-or-below the floor are invisible to every pin.
   [[nodiscard]] std::uint64_t floor() const;
+  /// Capture watermark: the maximum VALID pinned epoch (0 when nothing
+  /// is pinned; kEpochMax while an open() is in flight). A version
+  /// stamped above it is invisible to every pin. seq_cst; see the
+  /// header comment for the ordering argument.
+  [[nodiscard]] std::uint64_t newest() const noexcept {
+    return newest_.load(std::memory_order_seq_cst);
+  }
 
   /// Retained-byte accounting (called by retainers). add() enforces the
   /// bound: pins are expired oldest-first until the budget fits again
@@ -151,7 +161,8 @@ class SnapshotRegistry {
     bool expired = false;
   };
 
-  void recompute_floor_locked();
+  /// Refreshes floor_ and newest_ from the valid pins.
+  void recompute_bounds_locked();
 
   EpochSource* epochs_;
   mutable std::mutex mu_;
@@ -159,6 +170,8 @@ class SnapshotRegistry {
   /// Cached min valid pinned epoch (kEpochMax when none) so floor() is
   /// one load on the hot reclamation path.
   std::atomic<std::uint64_t> floor_{kEpochMax};
+  /// Cached max valid pinned epoch (0 when none).
+  std::atomic<std::uint64_t> newest_{0};
   std::atomic<std::uint64_t> pin_count_{0};
   std::atomic<std::uint64_t> retained_bytes_{0};
   std::atomic<std::uint64_t> retention_cap_{0};
@@ -202,7 +215,7 @@ class VersionRetainer {
   explicit VersionRetainer(SnapshotRegistry* registry) : registry_(registry) {}
 
   /// Defers a dying version instead of freeing it. Called from the
-  /// overwrite/delete path when pin_count() was nonzero.
+  /// overwrite/delete path when a pin can read the version.
   void capture(std::uint64_t sig, const RetainedVersion& v);
 
   /// The retained version visible at epoch `e` (begin <= e < end), if

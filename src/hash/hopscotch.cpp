@@ -1,95 +1,9 @@
 #include "hash/hopscotch.hpp"
 
-#include <atomic>
 #include <cassert>
 #include <cstring>
 
-#if defined(RHIK_SIMD_AVX2)
-#include <immintrin.h>
-#elif defined(RHIK_SIMD_SSE2)
-#include <emmintrin.h>
-#endif
-
 namespace rhik::hash {
-
-namespace {
-
-/// Process-wide runtime switch to the scalar probe; tests flip it
-/// per-case to compare both paths in one binary.
-std::atomic<bool> g_simd_enabled{true};
-
-#if defined(RHIK_SIMD_AVX2)
-
-constexpr std::uint32_t kSimdLanes = 4;
-
-/// Non-wrapping neighbourhood probe: compare 4 stored signatures per
-/// step, mask equal lanes by the hopinfo window, first hit wins. Lanes
-/// past hop_range read slots inside the table (the caller guarantees
-/// home + rounded-window <= capacity) and are masked off by `info`.
-std::uint32_t probe_simd(const std::uint64_t* sigs, std::uint64_t sig,
-                         std::uint32_t home, std::uint32_t info,
-                         std::uint32_t width) {
-  const __m256i needle = _mm256_set1_epi64x(static_cast<long long>(sig));
-  for (std::uint32_t j = 0; j < width; j += 4) {
-    const std::uint32_t grp = (info >> j) & 0xFu;
-    if (grp == 0) continue;
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(sigs + home + j));
-    const auto eq = static_cast<std::uint32_t>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, needle))));
-    const std::uint32_t hit = eq & grp;
-    if (hit != 0) return home + j + static_cast<std::uint32_t>(__builtin_ctz(hit));
-  }
-  return UINT32_MAX;
-}
-
-#elif defined(RHIK_SIMD_SSE2)
-
-constexpr std::uint32_t kSimdLanes = 2;
-
-/// SSE2 has no 64-bit compare; compare 32-bit halves and AND each lane
-/// with its swapped half so a lane is all-ones iff both halves matched.
-std::uint32_t probe_simd(const std::uint64_t* sigs, std::uint64_t sig,
-                         std::uint32_t home, std::uint32_t info,
-                         std::uint32_t width) {
-  const __m128i needle = _mm_set1_epi64x(static_cast<long long>(sig));
-  for (std::uint32_t j = 0; j < width; j += 2) {
-    const std::uint32_t grp = (info >> j) & 0x3u;
-    if (grp == 0) continue;
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(sigs + home + j));
-    const __m128i cmp32 = _mm_cmpeq_epi32(v, needle);
-    const __m128i pair =
-        _mm_and_si128(cmp32, _mm_shuffle_epi32(cmp32, _MM_SHUFFLE(2, 3, 0, 1)));
-    const auto eq = static_cast<std::uint32_t>(
-        _mm_movemask_pd(_mm_castsi128_pd(pair)));
-    const std::uint32_t hit = eq & grp;
-    if (hit != 0) return home + j + static_cast<std::uint32_t>(__builtin_ctz(hit));
-  }
-  return UINT32_MAX;
-}
-
-#endif
-
-}  // namespace
-
-const char* HopscotchTable::simd_backend() noexcept {
-#if defined(RHIK_SIMD_AVX2)
-  return "avx2";
-#elif defined(RHIK_SIMD_SSE2)
-  return "sse2";
-#else
-  return "scalar";
-#endif
-}
-
-void HopscotchTable::set_simd_enabled(bool on) noexcept {
-  g_simd_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool HopscotchTable::simd_enabled() noexcept {
-  return g_simd_enabled.load(std::memory_order_relaxed);
-}
 
 HopscotchTable::HopscotchTable(std::uint32_t capacity, std::uint32_t hop_range)
     : sigs_(capacity),
@@ -103,31 +17,19 @@ HopscotchTable::HopscotchTable(std::uint32_t capacity, std::uint32_t hop_range)
   assert(hop_range <= capacity);
 }
 
-std::uint32_t HopscotchTable::probe_scalar(std::uint64_t sig, std::uint32_t home,
-                                           std::uint32_t info) const {
+std::uint32_t HopscotchTable::probe(std::uint64_t sig, std::uint32_t home,
+                                    std::uint32_t info) const {
   // A set hopinfo bit always covers a live slot (check_invariants), so
-  // the signature compare alone decides — exactly like the SIMD lanes.
+  // the signature compare alone decides. Bits ascend, so the first hit
+  // is the first match in neighbourhood order.
   while (info != 0) {
     const auto bit = static_cast<std::uint32_t>(__builtin_ctz(info));
     info &= info - 1;
-    const std::uint32_t idx = wrap(std::uint64_t{home} + bit);
+    std::uint32_t idx = home + bit;
+    if (idx >= capacity_) idx -= capacity_;
     if (sigs_[idx] == sig) return idx;
   }
   return kNpos;
-}
-
-std::uint32_t HopscotchTable::probe(std::uint64_t sig, std::uint32_t home,
-                                    std::uint32_t info) const {
-#if defined(RHIK_SIMD_AVX2) || defined(RHIK_SIMD_SSE2)
-  // Round the window up to whole vectors; the overshoot lanes are masked
-  // by `info` but must still land inside the array. Neighbourhoods that
-  // wrap past the tail (rare: the last H buckets) stay scalar.
-  const std::uint32_t window = (hop_range_ + kSimdLanes - 1) & ~(kSimdLanes - 1);
-  if (simd_enabled() && std::uint64_t{home} + window <= capacity_) {
-    return probe_simd(sigs_.data(), sig, home, info, window);
-  }
-#endif
-  return probe_scalar(sig, home, info);
 }
 
 std::uint32_t HopscotchTable::find_free_from(std::uint32_t home) const noexcept {

@@ -11,11 +11,10 @@
 //
 // Storage is struct-of-arrays (DESIGN.md §10): signatures, ppas and
 // word-packed occupancy bits live in separate contiguous arrays so the
-// probe loop touches only the signature lane and, when the build enables
-// it (RHIK_SIMD), compares several stored signatures per step with
-// SSE2/AVX2. Because a set hopinfo bit always points at a live slot (the
-// check_invariants contract), candidate lanes are masked by hopinfo
-// alone — stale signatures left behind by erase are never consulted.
+// probe loop touches only the signature lane. Because a set hopinfo bit
+// always points at a live slot (the check_invariants contract), a find
+// compares only the slots its home bucket's hopinfo marks — stale
+// signatures left behind by erase are never consulted.
 #pragma once
 
 #include <cassert>
@@ -153,14 +152,9 @@ class HopscotchTable {
   /// hot probe keeps no counters.
   [[nodiscard]] std::uint32_t probe_length(std::uint64_t sig) const;
 
-  // -- SIMD dispatch ----------------------------------------------------------
-  /// Compile-time backend selected by the RHIK_SIMD CMake option:
-  /// "scalar", "sse2" or "avx2".
-  [[nodiscard]] static const char* simd_backend() noexcept;
-  /// Runtime switch (process-wide), enabled by default; tests flip it to
-  /// run the vectorised and scalar probes inside one binary.
-  static void set_simd_enabled(bool on) noexcept;
-  [[nodiscard]] static bool simd_enabled() noexcept;
+  /// Always "scalar": the one probe walks hopinfo bits. Kept for the
+  /// repository benchmark's `host` line.
+  [[nodiscard]] static const char* simd_backend() noexcept { return "scalar"; }
 
  private:
   static constexpr std::uint32_t kNpos = UINT32_MAX;
@@ -181,13 +175,9 @@ class HopscotchTable {
   }
 
   /// Index of the live slot holding `sig` inside `home`'s neighbourhood
-  /// (`info` = hopinfo_[home]), or kNpos. Dispatches to the vectorised
-  /// compare when compiled in, enabled, and the neighbourhood does not
-  /// wrap past the table tail (the wrap window falls back to scalar).
+  /// (`info` = hopinfo_[home]), or kNpos: one compare per marked slot.
   [[nodiscard]] std::uint32_t probe(std::uint64_t sig, std::uint32_t home,
                                     std::uint32_t info) const;
-  [[nodiscard]] std::uint32_t probe_scalar(std::uint64_t sig, std::uint32_t home,
-                                           std::uint32_t info) const;
 
   /// Nearest free slot at or after `home` in circular order, or kNpos.
   [[nodiscard]] std::uint32_t find_free_from(std::uint32_t home) const noexcept;

@@ -526,13 +526,18 @@ void KvssdDevice::charge_command(bool async) {
 void KvssdDevice::retire_version(std::uint64_t sig, Ppa ppa,
                                  std::uint64_t epoch,
                                  std::uint64_t total_bytes) {
-  // A pinned snapshot may still need the dying version. The pin_count
-  // check is racy only in the safe direction: open() bumps the count
-  // BEFORE advancing the epoch (both seq_cst), so a zero read here means
-  // any concurrent pin lands at-or-after this mutation's stamp and never
-  // needed the old version. Same-stamp overwrites (one batch touching a
-  // key twice) have an empty visibility window [e, e) — free immediately.
-  if (snaps_->registry.pin_count() != 0 && epoch < mutation_epoch_) {
+  // A pin at epoch p reads the dying version [epoch, mutation_epoch_)
+  // iff epoch <= p < mutation_epoch_, so it is kept only while the newest
+  // pin is at or above its stamp; a version written after every pin is
+  // freed now.
+  // Both checks are racy only in the safe direction: open() bumps the
+  // count and raises newest BEFORE advancing the epoch (all seq_cst), so
+  // a read that skips retention means any concurrent pin lands
+  // at-or-after this mutation's stamp and never needed the old version.
+  // Same-stamp overwrites (one batch touching a key twice) have an empty
+  // visibility window [e, e) — free immediately.
+  const ftl::SnapshotRegistry& reg = snaps_->registry;
+  if (reg.pin_count() != 0 && epoch < mutation_epoch_ && reg.newest() >= epoch) {
     retainer_->capture(sig,
                        ftl::RetainedVersion{ppa, epoch, mutation_epoch_,
                                             total_bytes});

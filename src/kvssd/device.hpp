@@ -235,7 +235,7 @@ class KvssdDevice : public api::IKvsBackend {
     mutation_epoch_ = snaps_->epochs.advance();
   }
   /// Overwrite/delete path: hands the dying version to the retainer when
-  /// any snapshot is pinned, else surrenders its stale credit now.
+  /// a pinned snapshot can read it, else surrenders its stale credit now.
   void retire_version(std::uint64_t sig, flash::Ppa ppa, std::uint64_t epoch,
                       std::uint64_t total_bytes);
 

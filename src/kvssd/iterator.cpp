@@ -69,9 +69,9 @@ Status IteratorManager::resolve(const OpenIterator& it, std::uint64_t sig,
   // version (a covering tombstone means the key was already deleted).
   const ftl::RetainedVersion* v = retainer_->resolve(sig, epoch);
   if (v == nullptr) return Status::kNotFound;
-  Bytes value;
+  // The key sits in the head page: no value copy, no continuation reads.
   bool tomb = false;
-  if (Status s = store_->read_pair_at(v->ppa, sig, epoch, key_out, &value, &tomb);
+  if (Status s = store_->read_pair_at(v->ppa, sig, epoch, key_out, nullptr, &tomb);
       !ok(s)) {
     return s;
   }

@@ -453,25 +453,29 @@ TEST(KvsApiSnapshot, ShardedSnapshotIsOneConsistentCut) {
 
 TEST(KvsApiSnapshot, RetentionBudgetExpiresOldestPin) {
   KvsDeviceOptions opts = small_opts();
-  opts.snapshot_retention_bytes = 4096;  // one overwritten page busts it
+  opts.snapshot_retention_bytes = 4096;  // two overwritten values bust it
   KvsDevice dev(opts);
   const std::string big(2048, 'x');
-  ASSERT_EQ(dev.store("hot", big), KvsResult::KVS_SUCCESS);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(dev.store("hot" + std::to_string(i), big), KvsResult::KVS_SUCCESS);
+  }
   SnapshotHandle snap;
   ASSERT_EQ(dev.open_snapshot(&snap), KvsResult::KVS_SUCCESS);
-  // Overwrite the pinned version repeatedly: each dead version is
-  // retained for the pin until the budget trips and expires it.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(dev.store("hot", big), KvsResult::KVS_SUCCESS);
+  // Overwrite the pinned versions: each dead version is retained for the
+  // pin until the budget trips and expires it. (Overwriting one key
+  // repeatedly would retain only its first dead version: the later ones
+  // are stamped after the pin, which cannot read them.)
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(dev.store("hot" + std::to_string(i), big), KvsResult::KVS_SUCCESS);
   }
   Bytes value;
-  EXPECT_EQ(dev.retrieve_at(snap, "hot", &value),
+  EXPECT_EQ(dev.retrieve_at(snap, "hot0", &value),
             KvsResult::KVS_ERR_SNAPSHOT_TOO_OLD);
   // Expired is still released normally; a fresh pin works again.
   EXPECT_EQ(dev.release_snapshot(snap), KvsResult::KVS_SUCCESS);
   SnapshotHandle fresh;
   ASSERT_EQ(dev.open_snapshot(&fresh), KvsResult::KVS_SUCCESS);
-  EXPECT_EQ(dev.retrieve_at(fresh, "hot", &value), KvsResult::KVS_SUCCESS);
+  EXPECT_EQ(dev.retrieve_at(fresh, "hot0", &value), KvsResult::KVS_SUCCESS);
   EXPECT_EQ(dev.release_snapshot(fresh), KvsResult::KVS_SUCCESS);
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hash/hopscotch.hpp"
 #include "kvssd/device.hpp"
 #include "kvssd/recovery.hpp"
 #include "test_seed.hpp"
@@ -501,168 +500,3 @@ TEST(Differential, TimeBudgetSoak) {
 
 }  // namespace
 }  // namespace rhik::kvssd
-
-// -- SIMD vs scalar probe equivalence ------------------------------------------
-// Mirrored mutation sequences applied to two tables, one probing with
-// the vectorised backend and one with the runtime kill-switch thrown,
-// must keep bit-identical table state (slots, occupancy, hopinfo) and
-// return identical statuses/results. On a scalar build both halves run
-// the same code and the test passes trivially; on SSE2/AVX2 builds it
-// pins the dispatch seam.
-namespace rhik::hash {
-namespace {
-
-/// RAII guard: the kill-switch is process-global state shared with other
-/// tests in this binary.
-struct SimdSwitchGuard {
-  bool saved = HopscotchTable::simd_enabled();
-  ~SimdSwitchGuard() { HopscotchTable::set_simd_enabled(saved); }
-};
-
-void expect_identical(const HopscotchTable& a, const HopscotchTable& b) {
-  ASSERT_EQ(a.capacity(), b.capacity());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::uint32_t i = 0; i < a.capacity(); ++i) {
-    ASSERT_EQ(a.slot_used(i), b.slot_used(i)) << "slot " << i;
-    if (a.slot_used(i)) {
-      ASSERT_EQ(a.slot(i).sig, b.slot(i).sig) << "slot " << i;
-      ASSERT_EQ(a.slot(i).ppa, b.slot(i).ppa) << "slot " << i;
-    }
-    ASSERT_EQ(a.hopinfo(i), b.hopinfo(i)) << "bucket " << i;
-  }
-}
-
-/// Applies one mutation to both tables — vectorised probe for `simd`,
-/// scalar for `scalar` — and asserts statuses, invariants and state
-/// stay in lockstep.
-class MirroredTables {
- public:
-  MirroredTables(std::uint32_t capacity, std::uint32_t hop_range)
-      : simd_(capacity, hop_range), scalar_(capacity, hop_range) {}
-
-  void insert(std::uint64_t sig, std::uint64_t ppa) {
-    HopscotchTable::set_simd_enabled(true);
-    const Status a = simd_.insert(sig, ppa);
-    HopscotchTable::set_simd_enabled(false);
-    const Status b = scalar_.insert(sig, ppa);
-    ASSERT_EQ(a, b) << "insert status diverged for sig 0x" << std::hex << sig;
-    check_both();
-  }
-
-  void erase(std::uint64_t sig) {
-    HopscotchTable::set_simd_enabled(true);
-    const bool a = simd_.erase(sig);
-    HopscotchTable::set_simd_enabled(false);
-    const bool b = scalar_.erase(sig);
-    ASSERT_EQ(a, b) << "erase result diverged for sig 0x" << std::hex << sig;
-    check_both();
-  }
-
-  void find(std::uint64_t sig) {
-    HopscotchTable::set_simd_enabled(true);
-    const auto a = simd_.find(sig);
-    HopscotchTable::set_simd_enabled(false);
-    const auto b = scalar_.find(sig);
-    ASSERT_EQ(a.has_value(), b.has_value())
-        << "find diverged for sig 0x" << std::hex << sig;
-    if (a.has_value()) {
-      ASSERT_EQ(*a, *b);
-    }
-  }
-
-  void check_both() {
-    ASSERT_TRUE(simd_.check_invariants());
-    ASSERT_TRUE(scalar_.check_invariants());
-    expect_identical(simd_, scalar_);
-  }
-
-  [[nodiscard]] const HopscotchTable& table() const noexcept { return simd_; }
-
- private:
-  HopscotchTable simd_;
-  HopscotchTable scalar_;
-};
-
-TEST(Differential, SimdScalarRandomizedTables) {
-  SimdSwitchGuard guard;
-  // (capacity, hop range): the default record-page geometry, a tiny
-  // table where every neighbourhood wraps past the tail, and a mid-size
-  // power of two. Ops per geometry stay modest because every mutation
-  // pays a full invariant check + state diff.
-  struct Geometry { std::uint32_t capacity, hop_range; };
-  for (const Geometry g : {Geometry{1927, 32}, {33, 32}, {64, 8}, {128, 32}}) {
-    MirroredTables t(g.capacity, g.hop_range);
-    Rng rng(rhik::test::harness_seed(0x51DD0000) ^ g.capacity);
-    std::vector<std::uint64_t> live;
-    for (int op = 0; op < 600; ++op) {
-      const std::uint32_t dice = static_cast<std::uint32_t>(rng.next_below(10));
-      if (dice < 6 || live.empty()) {
-        const std::uint64_t sig = rng.next();
-        t.insert(sig, rng.next_below(1u << 20));
-        if (::testing::Test::HasFatalFailure()) return;
-        live.push_back(sig);
-      } else if (dice < 8) {
-        const std::size_t pick = rng.next_below(live.size());
-        t.erase(live[pick]);
-        if (::testing::Test::HasFatalFailure()) return;
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-      } else {
-        // Mix of resident and (almost surely) absent signatures.
-        t.find(live[rng.next_below(live.size())]);
-        t.find(rng.next());
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
-    // Erase-then-find over everything still resident.
-    for (const std::uint64_t sig : live) {
-      t.find(sig);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    for (const std::uint64_t sig : live) {
-      t.erase(sig);
-      t.find(sig);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST(Differential, SimdScalarDisplacementChains) {
-  SimdSwitchGuard guard;
-  // Duplicate-home displacement chains: rejection-sample signatures
-  // sharing one home bucket and insert until the neighbourhood aborts;
-  // both probe paths must agree on every status along the way — near
-  // the table head and at the tail, where the neighbourhood wraps.
-  constexpr std::uint32_t kCapacity = 33;
-  constexpr std::uint32_t kHopRange = 32;
-  const HopscotchTable ref(kCapacity, kHopRange);
-  Rng rng(rhik::test::harness_seed(0xD15C0000));
-  for (const std::uint32_t target :
-       {std::uint32_t{1}, kCapacity / 2, kCapacity - 1}) {
-    MirroredTables t(kCapacity, kHopRange);
-    std::vector<std::uint64_t> homed;
-    while (homed.size() < 40) {
-      const std::uint64_t sig = rng.next();
-      if (ref.home_bucket(sig) == target) homed.push_back(sig);
-    }
-    for (std::size_t i = 0; i < homed.size(); ++i) {
-      t.insert(homed[i], i);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    // Updates of keys that survived, finds of ones the abort rejected.
-    for (std::size_t i = 0; i < homed.size(); ++i) {
-      t.insert(homed[i], 1000 + i);
-      t.find(homed[i]);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    // Tear the chain down out of insertion order.
-    for (std::size_t i = homed.size(); i-- > 0;) {
-      t.erase(homed[i]);
-      t.find(homed[i]);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    ASSERT_EQ(t.table().size(), 0u);
-  }
-}
-
-}  // namespace
-}  // namespace rhik::hash

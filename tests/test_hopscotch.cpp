@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "hash/hopscotch.hpp"
@@ -172,7 +173,64 @@ TEST_P(HopscotchPropertyTest, AgreesWithReferenceMap) {
 INSTANTIATE_TEST_SUITE_P(
     Geometries, HopscotchPropertyTest,
     ::testing::Values(GeomParam{64, 8}, GeomParam{240, 32}, GeomParam{1927, 32},
-                      GeomParam{33, 32}, GeomParam{512, 16}));
+                      GeomParam{33, 32}, GeomParam{512, 16}, GeomParam{128, 32}));
+
+// Same-home displacement chains: 40 signatures sharing one home bucket
+// are inserted until the neighbourhood aborts, updated, then torn down
+// out of insertion order — near the table head, mid-table and at the
+// tail, where the neighbourhood wraps. Every step is checked against a
+// reference map and the hopinfo invariants.
+TEST(Hopscotch, SameHomeDisplacementChains) {
+  constexpr std::uint32_t kCapacity = 33;
+  constexpr std::uint32_t kHopRange = 32;
+  Rng rng(0xD15C);
+  for (const std::uint32_t target : {1u, kCapacity / 2, kCapacity - 1}) {
+    HopscotchTable t(kCapacity, kHopRange);
+    std::vector<std::uint64_t> homed;
+    while (homed.size() < 40) {
+      const std::uint64_t sig = rng.next();
+      if (t.home_bucket(sig) == target) homed.push_back(sig);
+    }
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    const auto agrees = [&] {
+      if (!t.check_invariants() || t.size() != ref.size()) return false;
+      for (const std::uint64_t sig : homed) {
+        const auto got = t.find(sig);
+        const auto it = ref.find(sig);
+        if (got.has_value() != (it != ref.end())) return false;
+        if (got && *got != it->second) return false;
+      }
+      return true;
+    };
+    const auto upsert = [&](std::uint64_t sig, std::uint64_t ppa) {
+      const Status s = t.insert(sig, ppa);
+      if (ok(s)) {
+        ref[sig] = ppa;
+      } else {
+        // Only a new signature may abort: its whole neighbourhood is
+        // taken by the chain.
+        EXPECT_EQ(s, Status::kCollisionAbort);
+        EXPECT_FALSE(ref.count(sig));
+      }
+    };
+
+    for (std::size_t i = 0; i < homed.size(); ++i) {
+      upsert(homed[i], i);
+      ASSERT_TRUE(agrees()) << "bucket " << target << ", insert " << i;
+    }
+    // The chain fills the home neighbourhood exactly.
+    EXPECT_EQ(t.size(), kHopRange);
+    for (std::size_t i = 0; i < homed.size(); ++i) {
+      upsert(homed[i], 1000 + i);
+      ASSERT_TRUE(agrees()) << "bucket " << target << ", update " << i;
+    }
+    for (std::size_t i = homed.size(); i-- > 0;) {
+      EXPECT_EQ(t.erase(homed[i]), ref.erase(homed[i]) > 0);
+      ASSERT_TRUE(agrees()) << "bucket " << target << ", erase " << i;
+    }
+    EXPECT_EQ(t.size(), 0u);
+  }
+}
 
 // Wrap-around behaviour: neighbourhoods crossing the end of the array.
 TEST(Hopscotch, WrapAroundNeighbourhood) {

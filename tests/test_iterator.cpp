@@ -201,6 +201,35 @@ TEST(Iterator, ShardReadErrorSurfacesBeforeEnd) {
   EXPECT_EQ(arr.kvs_close_iterator(*handle), Status::kOk);
 }
 
+TEST(Iterator, RetainedExtentResolvesFromItsHeadPage) {
+  // Resolving a key needs only its stored key, which sits in the head
+  // page: a retained version spanning several pages costs the scan one
+  // page read, not the whole extent.
+  KvssdDevice dev(iter_config());
+  const std::string big(3 * 4096, 'b');  // head page + 3 continuation pages
+  ASSERT_EQ(dev.put(key("big:0"), key(big)), Status::kOk);
+  auto snap = dev.open_snapshot();
+  ASSERT_TRUE(snap);
+  ASSERT_EQ(dev.put(key("big:0"), key("small")), Status::kOk);
+  ASSERT_EQ(dev.flush(), Status::kOk);  // both versions on flash
+  auto handle = dev.kvs_open_iterator(key("big:"), &*snap);
+  ASSERT_TRUE(handle);
+
+  const std::uint64_t reads_before = dev.nand().stats().page_reads;
+  std::vector<Bytes> batch;
+  ASSERT_EQ(dev.kvs_iterator_next(*handle, 10, &batch), Status::kOk);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(rhik::to_string(ByteSpan{batch[0]}), "big:0");
+  // The current version's head page, then the retained version's.
+  EXPECT_EQ(dev.nand().stats().page_reads - reads_before, 2u);
+
+  Bytes value;
+  ASSERT_EQ(dev.read_at(*snap, key("big:0"), &value), Status::kOk);
+  EXPECT_EQ(rhik::to_string(value), big);
+  EXPECT_EQ(dev.kvs_close_iterator(*handle), Status::kOk);
+  EXPECT_EQ(dev.release_snapshot(*snap), Status::kOk);
+}
+
 TEST(Iterator, UnsupportedWithoutPrefixSignatures) {
   DeviceConfig cfg;
   cfg.geometry = flash::Geometry::tiny(32);

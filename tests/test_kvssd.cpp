@@ -263,6 +263,34 @@ TEST(Kvssd, GcRelocatedVersionsInOnePageResolveByEpoch) {
   EXPECT_EQ(rhik::to_string(value), v1);
 }
 
+TEST(Kvssd, RetainsOnlyVersionsAPinCanRead) {
+  // One pin, then four keys put and deleted after it, and k overwritten
+  // twice: every dying version but k's first is stamped above the pin,
+  // which can never read it, so only k's first version is retained.
+  KvssdDevice dev(small_config());
+  ASSERT_EQ(dev.put(key("k"), key("v1")), Status::kOk);
+  auto snap = dev.open_snapshot();
+  ASSERT_TRUE(snap);
+  ASSERT_EQ(dev.put(key("k"), key("v2")), Status::kOk);
+  ASSERT_EQ(dev.put(key("k"), key("v3")), Status::kOk);
+  for (int i = 0; i < 4; ++i) {
+    const std::string n = "n" + std::to_string(i);
+    ASSERT_EQ(dev.put(key(n), key("x")), Status::kOk);
+    ASSERT_EQ(dev.del(key(n)), Status::kOk);
+  }
+  EXPECT_EQ(dev.metrics_snapshot().counter("retainer.captured"), 1u);
+  EXPECT_EQ(dev.snapshots().registry.retained_bytes(),
+            ftl::FlashKvStore::pair_bytes(1, 2));
+
+  Bytes value;
+  ASSERT_EQ(dev.read_at(*snap, key("k"), &value), Status::kOk);
+  EXPECT_EQ(rhik::to_string(value), "v1");
+  EXPECT_EQ(dev.read_at(*snap, key("n0"), &value), Status::kNotFound);
+  ASSERT_EQ(dev.get(key("k"), &value), Status::kOk);
+  EXPECT_EQ(rhik::to_string(value), "v3");
+  EXPECT_EQ(dev.release_snapshot(*snap), Status::kOk);
+}
+
 TEST(Kvssd, DeviceFullSurfacesWhenNoReclaimableSpace) {
   DeviceConfig cfg;
   cfg.geometry = flash::Geometry::tiny(16);  // 1 MiB device
