@@ -182,21 +182,24 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
                                         std::uint32_t max_pages) {
   const auto& g = nand_->geometry();
   const std::uint32_t used = alloc_->pages_used(block);
-  Bytes spare(g.spare_size());
 
   std::uint32_t budget = max_pages;
   std::uint32_t pg = *page;
   for (; pg < used && budget > 0; ++pg, --budget) {
     const Ppa ppa = flash::make_ppa(g, block, pg);
     if (!nand_->is_programmed(ppa)) continue;  // abandoned extent tail
-    if (Status s = nand_->read_page(ppa, {}, spare); !ok(s)) {
+    // One read per victim page, data and spare: a head page's live pairs
+    // are copied out of this view, which stays valid until the erase.
+    ByteSpan data, spare;
+    if (Status s = nand_->read_page_view(ppa, &data, &spare); !ok(s)) {
       *page = pg;
       return s;
     }
+    stats_.pages_read++;
     const SpareTag tag = SpareTag::decode(spare);
     switch (tag.kind) {
       case PageKind::kDataHead:
-        if (Status s = relocate_data_head(ppa); !ok(s)) {
+        if (Status s = relocate_data_head(ppa, data); !ok(s)) {
           *page = pg;
           return s;
         }
@@ -224,11 +227,15 @@ Status GarbageCollector::relocate_pages(std::uint32_t block, std::uint32_t* page
   return Status::kOk;
 }
 
-Status GarbageCollector::relocate_data_head(Ppa ppa) {
-  const auto& g = nand_->geometry();
-  Bytes page(g.page_size);
-  if (Status s = nand_->read_page(ppa, page); !ok(s)) return s;
-  const auto pairs = parse_head_page(page, g.page_size);
+Status GarbageCollector::copy_live(Ppa ppa, ByteSpan page, const ParsedPair& p,
+                                   Bytes* key, Bytes* value) {
+  stats_.pages_read += continuation_pages(nand_->geometry(), p.header.pair_bytes());
+  return store_->copy_pair(ppa, page, p, key, value);
+}
+
+Status GarbageCollector::relocate_data_head(Ppa ppa, ByteSpan page) {
+  const std::uint32_t page_size = nand_->geometry().page_size;
+  const auto pairs = parse_head_page(page, page_size);
   if (!pairs) return Status::kCorruption;
 
   // A page can hold several versions of one signature: an in-page
@@ -240,6 +247,7 @@ Status GarbageCollector::relocate_data_head(Ppa ppa) {
     const ParsedPair*& n = newest[p.header.sig];
     if (n == nullptr || newer_in_page(p.header, n->header)) n = &p;
   }
+  Bytes key, value;
   for (auto it = pairs->rbegin(); it != pairs->rend(); ++it) {
     victim_sigs_.insert(it->header.sig);
     const auto nit = newest.find(it->header.sig);
@@ -255,24 +263,27 @@ Status GarbageCollector::relocate_data_head(Ppa ppa) {
     // Snapshot-retained versions of this signature living in this page
     // (possibly several, the key's history) move out before the erase,
     // each rewritten with its ORIGINAL epoch stamp so the version order
-    // survives relocation. The retainer follows them to their new homes;
-    // their deferred stale credit moves with them (write_pair credits
-    // the new location; reclaim later debits it there).
+    // survives relocation. Each is the copy a snapshot read at its epoch
+    // resolves to in this page. The retainer follows them to their new
+    // homes; their deferred stale credit moves with them (write_pair
+    // credits the new location; reclaim later debits it there).
     if (retainer_ != nullptr) {
       for (const RetainedVersion& v :
            retainer_->versions_at(pair.header.sig, ppa)) {
-        Bytes key, value;
-        bool tomb = false;
-        if (Status s = store_->read_pair_at(ppa, pair.header.sig, v.begin_epoch,
-                                            &key, &value, &tomb);
-            !ok(s)) {
-          return s;
+        ParsedPair old;
+        switch (find_pair_in_page_at(page, page_size, pair.header.sig,
+                                     v.begin_epoch, &old)) {
+          case PageFind::kCorrupt: return Status::kCorruption;
+          case PageFind::kAbsent: return Status::kNotFound;
+          case PageFind::kFound: break;
         }
+        if (Status s = copy_live(ppa, page, old, &key, &value); !ok(s)) return s;
         auto new_ppa =
-            tomb ? store_->write_tombstone(pair.header.sig, key, /*for_gc=*/true,
-                                           v.begin_epoch)
-                 : store_->write_pair(pair.header.sig, key, value,
-                                      /*for_gc=*/true, v.begin_epoch);
+            old.header.tombstone
+                ? store_->write_tombstone(pair.header.sig, key, /*for_gc=*/true,
+                                          v.begin_epoch)
+                : store_->write_pair(pair.header.sig, key, value,
+                                     /*for_gc=*/true, v.begin_epoch);
         if (!new_ppa) return new_ppa.status();
         retainer_->repoint(pair.header.sig, v.begin_epoch, *new_ppa);
         stats_.pairs_relocated++;
@@ -285,11 +296,9 @@ Status GarbageCollector::relocate_data_head(Ppa ppa) {
       // A deletion record stays durable until a newer version of the
       // signature exists; only then is it obsolete and droppable.
       if (mapped) continue;
-      const std::size_t key_off = pair.offset + PairHeader::kSize;
-      auto new_ppa = store_->write_tombstone(
-          pair.header.sig,
-          ByteSpan{page.data() + key_off, pair.header.key_len},
-          /*for_gc=*/true, pair.header.epoch);
+      if (Status s = copy_live(ppa, page, pair, &key, nullptr); !ok(s)) return s;
+      auto new_ppa = store_->write_tombstone(pair.header.sig, key,
+                                             /*for_gc=*/true, pair.header.epoch);
       if (!new_ppa) return new_ppa.status();
       stats_.pairs_relocated++;
       stats_.bytes_relocated += pair.header.pair_bytes();
@@ -297,14 +306,9 @@ Status GarbageCollector::relocate_data_head(Ppa ppa) {
     }
 
     if (!mapped || *mapped != ppa) continue;  // stale pair
-    Bytes key, value;
-    std::uint64_t epoch = 0;
-    if (Status s = store_->read_pair(ppa, pair.header.sig, &key, &value, &epoch);
-        !ok(s)) {
-      return s;
-    }
+    if (Status s = copy_live(ppa, page, pair, &key, &value); !ok(s)) return s;
     auto new_ppa = store_->write_pair(pair.header.sig, key, value, /*for_gc=*/true,
-                                      epoch);
+                                      pair.header.epoch);
     if (!new_ppa) return new_ppa.status();
     if (Status s = hooks_->gc_update_location(pair.header.sig, *new_ppa); !ok(s)) {
       return s;

@@ -5,14 +5,16 @@
 // wear tiebreak. For KV-zone blocks the collector scans each head page's
 // key-signature information area and validates every pair against the
 // global index: a pair is live iff the index still maps its signature to
-// this extent's starting PPA. Live pairs are relocated through the normal
-// log write path (onto the cold stream when hot/cold separation is on)
-// and the index is updated. Index-zone blocks hold only record pages
-// (stale ones from write-backs and resizes, live ones the index still
-// points at); they are validated and relocated through the owning
-// index's hooks. A failed index lookup stops the collection with that
-// error and leaves the victim unerased: a pair that may be live is never
-// treated as stale.
+// this extent's starting PPA. Each victim page is read once, and live
+// pairs are copied out of that read (only a live extent's continuation
+// pages are read again), relocated through the normal log write path
+// (onto the cold stream when hot/cold separation is on) and the index
+// is updated. Index-zone blocks hold only record pages (stale ones from
+// write-backs and resizes, live ones the index still points at); they
+// are validated and relocated through the owning index's hooks. A
+// failed index lookup stops the collection with that error and leaves
+// the victim unerased: a pair that may be live is never treated as
+// stale.
 //
 // Every collection reaches its victim one way: the victim is started
 // (its open write buffers persisted) and then stepped through its pages,
@@ -64,6 +66,7 @@ class GcIndexHooks {
 struct GcStats {
   std::uint64_t blocks_reclaimed = 0;
   std::uint64_t pairs_relocated = 0;
+  std::uint64_t pages_read = 0;  ///< victim pages + live extents' continuation pages
   std::uint64_t index_pages_relocated = 0;
   std::uint64_t retained_relocated = 0;  ///< snapshot-retained version moves
   std::uint64_t bytes_relocated = 0;  ///< write amplification source
@@ -75,6 +78,7 @@ struct GcStats {
   void publish(obs::MetricsSnapshot& snap) const {
     snap.add_counter("gc.blocks_reclaimed", blocks_reclaimed);
     snap.add_counter("gc.pairs_relocated", pairs_relocated);
+    snap.add_counter("gc.pages_read", pages_read);
     snap.add_counter("gc.index_pages_relocated", index_pages_relocated);
     snap.add_counter("gc.retained_relocated", retained_relocated);
     snap.add_counter("gc.bytes_relocated", bytes_relocated);
@@ -166,7 +170,13 @@ class GarbageCollector {
   /// `max_pages` pages; `*page` advances to the first unprocessed page.
   Status relocate_pages(std::uint32_t block, std::uint32_t* page,
                         std::uint32_t max_pages);
-  Status relocate_data_head(flash::Ppa ppa);
+  /// Relocates the live pairs of the head page at `ppa`, copied out of
+  /// `page`, the image relocate_pages() read.
+  Status relocate_data_head(flash::Ppa ppa, ByteSpan page);
+  /// Copies pair `p` out of victim head page `page` at `ppa`; only a
+  /// spilling value's continuation pages are read (and counted).
+  Status copy_live(flash::Ppa ppa, ByteSpan page, const ParsedPair& p,
+                   Bytes* key, Bytes* value);
   /// Makes `block` the victim in flight, persisting any open write
   /// buffer that targets it first.
   Status start_victim(std::uint32_t block);

@@ -214,8 +214,10 @@ Result<ByteSpan> FlashKvStore::locate(Ppa start, std::uint64_t sig,
   return page;
 }
 
-Status FlashKvStore::copy_value(Ppa start, ByteSpan page, const ParsedPair& p,
-                                Bytes* value_out) {
+Status FlashKvStore::copy_pair(Ppa start, ByteSpan page, const ParsedPair& p,
+                               Bytes* key_out, Bytes* value_out) {
+  if (key_out) copy_key(page, p, key_out);
+  if (!value_out) return Status::kOk;
   const std::uint32_t page_size = nand_->geometry().page_size;
   const std::size_t val_off = p.offset + PairHeader::kSize + p.header.key_len;
   const std::size_t in_page_val =
@@ -248,10 +250,7 @@ Status FlashKvStore::read_pair(Ppa start, std::uint64_t sig, Bytes* key_out,
   const auto page = locate(start, sig, kEpochMax, &p);
   if (!page) return page.status();
   if (epoch_out) *epoch_out = p.header.epoch;
-  if (key_out) copy_key(*page, p, key_out);
-  if (value_out) {
-    if (Status s = copy_value(start, *page, p, value_out); !ok(s)) return s;
-  }
+  if (Status s = copy_pair(start, *page, p, key_out, value_out); !ok(s)) return s;
   stats_.pairs_read++;
   return Status::kOk;
 }
@@ -263,14 +262,11 @@ Status FlashKvStore::read_pair_at(Ppa start, std::uint64_t sig,
   ParsedPair p;
   const auto page = locate(start, sig, max_epoch, &p);
   if (!page) return page.status();
-  if (key_out) copy_key(*page, p, key_out);
   if (p.header.tombstone) {
     if (tombstone_out) *tombstone_out = true;
-    return Status::kOk;
+    return copy_pair(start, *page, p, key_out, nullptr);
   }
-  if (value_out) {
-    if (Status s = copy_value(start, *page, p, value_out); !ok(s)) return s;
-  }
+  if (Status s = copy_pair(start, *page, p, key_out, value_out); !ok(s)) return s;
   stats_.pairs_read++;
   return Status::kOk;
 }

@@ -34,7 +34,7 @@ struct PairMeta {
 
 struct KvStoreStats {
   std::uint64_t pairs_written = 0;
-  std::uint64_t pairs_read = 0;
+  std::uint64_t pairs_read = 0;  ///< host reads only; GC relocation reads none
   std::uint64_t extents_written = 0;   ///< multi-page pairs
   std::uint64_t gc_pairs_written = 0;  ///< relocations (write amplification)
   std::uint64_t tombstones_written = 0;
@@ -91,6 +91,14 @@ class FlashKvStore {
 
   /// Reads only the header + key (update/delete verification path).
   Result<PairMeta> read_pair_meta(flash::Ppa start, std::uint64_t sig);
+
+  /// The one copy step of every pair reader: copies the key and value of
+  /// `p`, a pair parsed out of `page` (the image of the head page at
+  /// `start`), reading only a spilling value's continuation pages from
+  /// flash. GC relocation passes the victim page it already read.
+  /// Either output may be null; `pairs_read` is its callers' to count.
+  Status copy_pair(flash::Ppa start, ByteSpan page, const ParsedPair& p,
+                   Bytes* key_out, Bytes* value_out);
 
   /// Marks a previously written pair stale (update/delete) so GC victim
   /// selection sees the reclaimed bytes.
@@ -180,10 +188,6 @@ class FlashKvStore {
   /// touching the source — callers copy out what they keep.
   Result<ByteSpan> locate(flash::Ppa start, std::uint64_t sig,
                           std::uint64_t max_epoch, ParsedPair* out);
-  /// Copies the value of `p`, found by locate() in head page `page` at
-  /// `start`, reading its continuation pages when it spills.
-  Status copy_value(flash::Ppa start, ByteSpan page, const ParsedPair& p,
-                    Bytes* value_out);
 
   Status program_open_page(OpenPage& open);
   /// The buffer a write of this class lands in under the current policy.

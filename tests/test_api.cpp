@@ -121,6 +121,7 @@ TEST(KvsApi, IteratorDisabledAtOpenIsOptionInvalid) {
   // The array *could* iterate, the caller just didn't ask for it at
   // open — a missing option, not a missing capability.
   KvsDeviceOptions opts = small_opts();
+  opts.capacity_bytes = 512ull << 20;  // 32 8-MiB blocks per shard
   opts.num_shards = 2;
   KvsDevice dev(opts);
   std::vector<std::string> keys;

@@ -58,9 +58,10 @@ class GcTest : public ::testing::Test {
              .wear_leveling_threshold = 0.0}) {}
 
   /// Writes a pair and registers it in the mock index.
-  void put(std::uint64_t sig, const std::string& value) {
+  void put(std::uint64_t sig, const std::string& value, std::uint64_t epoch = 0) {
     const std::string key = "k" + std::to_string(sig);
-    auto ppa = store_.write_pair(sig, as_bytes(key), as_bytes(value));
+    auto ppa = store_.write_pair(sig, as_bytes(key), as_bytes(value),
+                                 /*for_gc=*/false, epoch);
     ASSERT_TRUE(ppa);
     if (auto it = hooks_.map.find(sig); it != hooks_.map.end()) {
       store_.note_stale(it->second,
@@ -107,46 +108,72 @@ TEST_F(GcTest, ReclaimsFullyStaleBlock) {
 }
 
 TEST_F(GcTest, RelocatesLivePairsAndUpdatesIndex) {
-  const std::string value(400, 'v');
+  // GC copies each live pair out of the victim page it already read:
+  // one NAND read per victim page and no store read per pair.
+  const auto value_of = [](std::uint64_t s) {
+    return std::string(400, static_cast<char>('a' + s % 26));
+  };
   std::uint64_t sig = 1;
-  while (!alloc_.pick_victim().has_value()) put(sig++, value);
+  for (; !alloc_.pick_victim().has_value(); ++sig) put(sig, value_of(sig), 100 + sig);
   // Delete every other pair.
-  for (std::uint64_t s = 1; s < sig; s += 2) del(s, value.size());
+  for (std::uint64_t s = 1; s < sig; s += 2) del(s, value_of(s).size());
 
   const auto victim = alloc_.pick_victim();
   ASSERT_TRUE(victim);
+  const std::uint32_t pages = alloc_.pages_used(*victim);
+  const std::uint64_t reads_before = nand_.stats().page_reads;
   ASSERT_EQ(gc_.collect_one(), Status::kOk);
-  EXPECT_GT(gc_.stats().pairs_relocated, 0u);
-  EXPECT_GT(hooks_.relocations, 0);
+  EXPECT_EQ(nand_.stats().page_reads - reads_before, pages);
+  EXPECT_EQ(gc_.stats().pages_read, pages);
+  EXPECT_EQ(store_.stats().pairs_read, 0u);
+  EXPECT_EQ(gc_.stats().pairs_relocated, (sig - 1) / 2);
+  EXPECT_EQ(static_cast<std::uint64_t>(hooks_.relocations), (sig - 1) / 2);
 
-  // Every surviving pair is readable at its (possibly new) location with
-  // intact contents.
+  // Every surviving pair is readable at its new location with intact
+  // contents and its original epoch.
   for (std::uint64_t s = 2; s < sig; s += 2) {
     const auto it = hooks_.map.find(s);
     ASSERT_NE(it, hooks_.map.end());
+    EXPECT_NE(flash::ppa_block(nand_.geometry(), it->second), *victim) << s;
     Bytes k, v;
-    ASSERT_EQ(store_.read_pair(it->second, s, &k, &v), Status::kOk) << s;
+    std::uint64_t epoch = 0;
+    ASSERT_EQ(store_.read_pair(it->second, s, &k, &v, &epoch), Status::kOk) << s;
     EXPECT_EQ(rhik::to_string(k), "k" + std::to_string(s));
-    EXPECT_EQ(rhik::to_string(v), value);
+    EXPECT_EQ(rhik::to_string(v), value_of(s));
+    EXPECT_EQ(epoch, 100 + s);
   }
 }
 
 TEST_F(GcTest, RelocatesMultiPageExtents) {
   // A large pair spanning several pages plus stale filler.
   const std::string big(12000, 'B');
-  put(100, big);
+  put(100, big, /*epoch=*/7);
   const std::string filler(900, 'f');
   std::uint64_t sig = 200;
   while (!alloc_.pick_victim().has_value()) put(sig++, filler);
   for (std::uint64_t s = 200; s < sig; ++s) del(s, filler.size());
+  const auto victim = alloc_.pick_victim();
+  ASSERT_TRUE(victim);
+  const std::uint32_t pages = alloc_.pages_used(*victim);
+  // The live extent's continuation pages are the only pages read twice.
+  const std::uint32_t cont =
+      continuation_pages(nand_.geometry(), FlashKvStore::pair_bytes(4, big.size()));
+  ASSERT_GT(cont, 0u);
+  const std::uint64_t reads_before = nand_.stats().page_reads;
   // The big pair must survive relocation of its block.
   ASSERT_EQ(gc_.collect_one(), Status::kOk);
+  EXPECT_EQ(nand_.stats().page_reads - reads_before, pages + cont);
+  EXPECT_EQ(gc_.stats().pages_read, pages + cont);
+  EXPECT_EQ(store_.stats().pairs_read, 0u);
   const auto it = hooks_.map.find(100);
   ASSERT_NE(it, hooks_.map.end());
   Bytes k, v;
-  ASSERT_EQ(store_.read_pair(it->second, 100, &k, &v), Status::kOk);
+  std::uint64_t epoch = 0;
+  ASSERT_EQ(store_.read_pair(it->second, 100, &k, &v, &epoch), Status::kOk);
+  EXPECT_EQ(rhik::to_string(k), "k100");
   EXPECT_EQ(v.size(), big.size());
   EXPECT_EQ(rhik::to_string(v), big);
+  EXPECT_EQ(epoch, 7u);
 }
 
 TEST_F(GcTest, CollectReachesTargetFreeBlocks) {

@@ -252,9 +252,21 @@ TEST(Kvssd, GcRelocatedVersionsInOnePageResolveByEpoch) {
   put("w", big);
   // Greedy victims: B (k=v2 to cold block D's first page), A (x0, then
   // the retained k=v1, to D's second page), then D (k=v2, then k=v1,
-  // into one cold page).
-  for (int i = 0; i < 3; ++i) ASSERT_EQ(dev.gc().collect_one(), Status::kOk) << i;
+  // into one cold page). Each victim page is read once: current and
+  // retained versions alike are copied out of that read.
+  const std::uint64_t pairs_read_before = dev.store().stats().pairs_read;
+  for (int i = 0; i < 3; ++i) {
+    const auto victim = dev.allocator().pick_victim(ftl::GcPolicy::kGreedy);
+    ASSERT_TRUE(victim) << i;
+    const std::uint32_t pages = dev.allocator().pages_used(*victim);
+    const std::uint64_t reads_before = dev.nand().stats().page_reads;
+    const std::uint64_t gc_reads_before = dev.gc().stats().pages_read;
+    ASSERT_EQ(dev.gc().collect_one(), Status::kOk) << i;
+    EXPECT_EQ(dev.nand().stats().page_reads - reads_before, pages) << i;
+    EXPECT_EQ(dev.gc().stats().pages_read - gc_reads_before, pages) << i;
+  }
   ASSERT_EQ(dev.gc().stats().retained_relocated, 2u);
+  EXPECT_EQ(dev.store().stats().pairs_read, pairs_read_before);
 
   Bytes value;
   ASSERT_EQ(dev.get(key("k"), &value), Status::kOk);
